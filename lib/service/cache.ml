@@ -9,18 +9,12 @@
 
 module Ledger = Vliw_telemetry.Ledger
 
-let fnv1a64 init s =
-  String.fold_left
-    (fun acc c ->
-      Int64.mul (Int64.logxor acc (Int64.of_int (Char.code c))) 0x100000001B3L)
-    init s
-
 let cell_key ~scale ~seed ~mix ~scheme =
   let key =
     String.concat "\x00"
       [ "cell"; scale; Printf.sprintf "0x%Lx" seed; mix; scheme ]
   in
-  Printf.sprintf "%016Lx" (fnv1a64 0xCBF29CE484222325L key)
+  Printf.sprintf "%016Lx" (Ledger.fnv1a64 Ledger.fnv_offset key)
 
 type t = (string, float) Hashtbl.t
 

@@ -16,12 +16,16 @@
      grep, and the hex bit image [bits] which is authoritative. A run
      round-tripped through the ledger diffs as Identical against the
      original, including nan (degraded) cells.
-   - Appends rewrite the file through [Vliw_util.Atomic_io], so a kill
-     mid-append never leaves a torn line; a malformed line (manual
-     edit, disk corruption) is skipped by [load] rather than fatal.
+   - An append is one read and one atomic rewrite through
+     [Vliw_util.Atomic_io], so a kill mid-append never leaves a torn
+     line; a malformed line (manual edit, disk corruption) is skipped
+     by [load] rather than fatal.
    - Ids are assigned at append time as "r1", "r2", ... in file order,
-     so CLI invocations can name runs cheaply. The ledger is a
-     single-user, single-writer store by design. *)
+     so CLI invocations can name runs cheaply. The next id is read off
+     each line's fixed [{"schema":1,"id":"rN"] prefix, not by parsing
+     the ledger, so an append's cost does not grow with a JSON parse of
+     every record. The ledger is a single-user, single-writer store by
+     design. *)
 
 type cell = {
   mix : string;
@@ -65,11 +69,18 @@ let ledger_path ~dir = Filename.concat dir "ledger.jsonl"
 
 (* --- hashing ---------------------------------------------------------- *)
 
+(* A [for] loop over a local ref rather than a [String.fold_left]
+   closure: the ref's [Int64] stays unboxed, where the closure's
+   accumulator is boxed once per byte. *)
 let fnv1a64 init s =
-  String.fold_left
-    (fun acc c ->
-      Int64.mul (Int64.logxor acc (Int64.of_int (Char.code c))) 0x100000001B3L)
-    init s
+  let h = ref init in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code s.[i])))
+        0x100000001B3L
+  done;
+  !h
 
 let fnv_offset = 0xCBF29CE484222325L
 
@@ -96,15 +107,24 @@ let grid_digest cells =
 
 (* --- environment ------------------------------------------------------ *)
 
-let git_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> "unknown"
-  | ic ->
-    let line = try input_line ic with End_of_file -> "" in
-    (match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-    | exception _ -> "unknown")
+(* Resolved once per process, on first use: a long-lived daemon's
+   records name the revision it was started from — the code that
+   actually produced them — without a fork+exec per record. The lock
+   makes the first force safe from any domain. *)
+let git_rev_lock = Mutex.create ()
+
+let git_rev_once =
+  lazy
+    (match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    | exception _ -> "unknown"
+    | ic ->
+      let line = try input_line ic with End_of_file -> "" in
+      (match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when line <> "" -> line
+      | _ -> "unknown"
+      | exception _ -> "unknown"))
+
+let git_rev () = Mutex.protect git_rev_lock (fun () -> Lazy.force git_rev_once)
 
 let make ?(counters = []) ?(gauges = []) ?(cells = [||]) ?(policy = "static")
     ~cmd ~label ~scale ~seed ~jobs ~scheme_names ~mix_names ~wall_s () =
@@ -284,19 +304,27 @@ let of_json j =
 
 (* --- persistence ------------------------------------------------------ *)
 
-let load ~dir =
+let read_text ~dir =
   let path = ledger_path ~dir in
-  if not (Sys.file_exists path) then []
-  else begin
-    let text = In_channel.with_open_bin path In_channel.input_all in
-    String.split_on_char '\n' text
-    |> List.filter_map (fun line ->
-           if String.trim line = "" then None
-           else
-             match J.parse line with
-             | Ok j -> of_json j
-             | Error _ -> None (* torn/corrupt line: skip, don't abort *))
-  end
+  if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+  else ""
+
+(* [String.trim line = ""] without copying the line. *)
+let is_blank line =
+  String.for_all
+    (function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false)
+    line
+
+let parse_line line =
+  match J.parse line with
+  | Ok j -> of_json j
+  | Error _ -> None (* torn/corrupt line: skip, don't abort *)
+
+let runs_of_text text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line -> if is_blank line then None else parse_line line)
+
+let load ~dir = runs_of_text (read_text ~dir)
 
 (* Ids are max+1, not count+1: [gc] leaves gaps in the sequence, and a
    fresh id must never collide with a surviving record's. *)
@@ -305,19 +333,60 @@ let numeric_id r =
     int_of_string_opt (String.sub r.id 1 (String.length r.id - 1))
   else None
 
-let append ~dir run =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let existing = load ~dir in
-  let next =
-    1
-    + List.fold_left
-        (fun acc r ->
-          match numeric_id r with Some n -> max acc n | None -> acc)
-        0 existing
+(* [to_json] always writes the schema and the id first, so a record's
+   line starts with this prefix followed by the id's digits and a
+   closing quote. *)
+let id_prefix = {|{"schema":1,"id":"r|}
+
+let rec digits_end text i stop =
+  if i < stop && text.[i] >= '0' && text.[i] <= '9' then
+    digits_end text (i + 1) stop
+  else i
+
+(* The numeric id of the line [text.[start, stop)]: read off the prefix
+   when the line carries it, else by parsing that one line as [load]
+   would. A torn line that still carries the prefix counts, so the next
+   id may skip a number, but it can never repeat one [load] returns. *)
+let line_id text start stop =
+  let plen = String.length id_prefix in
+  let rec prefixed i =
+    i = plen || (text.[start + i] = id_prefix.[i] && prefixed (i + 1))
   in
-  let run = { run with id = Printf.sprintf "r%d" next } in
-  Vliw_util.Atomic_io.append_line ~path:(ledger_path ~dir)
-    (J.to_string (to_json run));
+  let d = start + plen in
+  let e = if stop - start > plen && prefixed 0 then digits_end text d stop else d in
+  if e > d && e < stop && text.[e] = '"' then
+    int_of_string_opt (String.sub text d (e - d))
+  else
+    let line = String.sub text start (stop - start) in
+    if is_blank line then None else Option.bind (parse_line line) numeric_id
+
+(* One past the highest numeric id in the ledger text, without parsing
+   the records that carry the prefix. *)
+let next_id text =
+  let len = String.length text in
+  let rec go start acc =
+    let stop =
+      match String.index_from_opt text start '\n' with Some i -> i | None -> len
+    in
+    let acc =
+      match line_id text start stop with Some n -> max acc n | None -> acc
+    in
+    if stop >= len then acc else go (stop + 1) acc
+  in
+  1 + go 0 0
+
+(* Persist [runs] after the ledger's current [text] in one atomic
+   rewrite: the file ends up as exactly [text], a newline fence if it
+   lacked one, and one line per record. *)
+let write_after ~dir text runs =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Vliw_util.Atomic_io.append_lines ~path:(ledger_path ~dir) ~existing:text
+    (List.map (fun r -> J.to_string (to_json r)) runs)
+
+let append ~dir run =
+  let text = read_text ~dir in
+  let run = { run with id = Printf.sprintf "r%d" (next_id text) } in
+  write_after ~dir text [ run ];
   run
 
 type gc_report = { kept : run list; dropped : run list }
@@ -352,20 +421,15 @@ type merge_report = { added : run list; skipped : run list }
    identical result computed twice and is skipped. Same-fingerprint
    records with different bits are drift evidence and always merge.
    Added records get fresh target ids; their content (including the
-   original timestamp and git revision) is preserved verbatim. *)
+   original timestamp and git revision) is preserved verbatim. The
+   target is read once and all added records land in one atomic
+   rewrite. *)
 let merge ?(dry_run = false) ~dir ~from () =
-  let target = load ~dir in
+  let text = read_text ~dir in
   let key r = r.fingerprint ^ "\x00" ^ grid_digest r.cells in
   let seen = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace seen (key r) ()) target;
-  let next =
-    ref
-      (1
-      + List.fold_left
-          (fun acc r ->
-            match numeric_id r with Some n -> max acc n | None -> acc)
-          0 target)
-  in
+  List.iter (fun r -> Hashtbl.replace seen (key r) ()) (runs_of_text text);
+  let next = ref (next_id text) in
   let added = ref [] and skipped = ref [] in
   List.iter
     (fun src ->
@@ -380,14 +444,7 @@ let merge ?(dry_run = false) ~dir ~from () =
         (load ~dir:src))
     from;
   let report = { added = List.rev !added; skipped = List.rev !skipped } in
-  if (not dry_run) && report.added <> [] then begin
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    List.iter
-      (fun r ->
-        Vliw_util.Atomic_io.append_line ~path:(ledger_path ~dir)
-          (J.to_string (to_json r)))
-      report.added
-  end;
+  if (not dry_run) && report.added <> [] then write_after ~dir text report.added;
   report
 
 let find ~dir wanted =

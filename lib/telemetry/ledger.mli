@@ -8,10 +8,13 @@
     [vliwsim runs diff] bit-compares two records' grids; the HTML report
     plots the cross-run trajectory from the same store.
 
-    The store is single-writer: appends rewrite the whole file through
-    {!Vliw_util.Atomic_io}, so readers never see a torn line, but two
-    concurrent appenders can lose one record. Malformed lines are
-    skipped on load rather than fatal. *)
+    The store is single-writer: an append is one read of the file and
+    one atomic rewrite through {!Vliw_util.Atomic_io}, so readers never
+    see a torn line, but two concurrent appenders can lose one record.
+    An append parses no JSON: the next id comes from each line's fixed
+    [{"schema":1,"id":"rN"] prefix, which {!to_json} always writes
+    first; only a line without that prefix is parsed, on its own.
+    Malformed lines are skipped on load rather than fatal. *)
 
 type cell = {
   mix : string;
@@ -70,10 +73,15 @@ val make :
   wall_s:float ->
   unit ->
   run
-(** Build a record for the current moment: stamps the time, resolves the
+(** Build a record for the current moment: stamps the time, names the
     git revision (["unknown"] outside a work tree), fingerprints the
     configuration and derives retry/degraded stats from [cells] and the
-    counter snapshot. The id is empty until {!append} assigns one. *)
+    counter snapshot. The id is empty until {!append} assigns one.
+
+    The revision is resolved once per process, by the first [make]: a
+    long-running daemon's records all name the revision it was started
+    from, which is the code that produced them, even if the work tree
+    moves on while it runs. *)
 
 val fingerprint_of :
   ?policy:string ->
@@ -89,6 +97,14 @@ val fingerprint_of :
     existed are preserved verbatim, while an adaptive run can never
     collide with a static run over the same grid. *)
 
+val fnv1a64 : int64 -> string -> int64
+(** [fnv1a64 h s] folds the bytes of [s] into the 64-bit FNV-1a state
+    [h]: the one hash behind {!fingerprint_of}, {!grid_digest} and the
+    service's cache keys. *)
+
+val fnv_offset : int64
+(** The FNV-1a 64-bit offset basis, the initial state of a fresh hash. *)
+
 val grid_digest : cell array -> string
 (** FNV-1a over every cell's (mix, scheme) key and IPC bit image; equal
     digests mean bit-identical grids. *)
@@ -99,7 +115,15 @@ val mean_ipc : run -> float
 val append : dir:string -> run -> run
 (** Assign the next id (one past the highest numeric id on file, so ids
     stay unique across {!gc} gaps), persist atomically (creating [dir]
-    if needed), and return the record with its id filled in. *)
+    if needed), and return the record with its id filled in.
+
+    The cost is one read and one atomic write, with no JSON parse: each
+    line's id is read off its [{"schema":1,"id":"rN"] prefix, and only
+    a line without it falls back to a parse of that line. A torn line
+    that still carries the prefix counts, so the new id may leave a
+    gap, but it never equals the id of a record {!load} returns. After
+    the append the file holds exactly its previous text, a newline if
+    that text lacked a final one, and the new record's line. *)
 
 type gc_report = { kept : run list; dropped : run list }
 (** Both in file order; surviving records keep their original ids. *)
@@ -125,7 +149,9 @@ val merge :
     record of this merge — is skipped as an identical duplicate, while
     same-fingerprint records with different grid bits always merge
     (drift evidence). Added records keep their content verbatim but
-    get fresh target ids. With [dry_run] nothing is written. *)
+    get fresh target ids, numbered as successive {!append}s would. The
+    target is read once and every added record lands in one atomic
+    write. With [dry_run] nothing is written. *)
 
 val load : dir:string -> run list
 (** All parseable records in file (= chronological) order; [] if the

@@ -15,10 +15,12 @@ val write_file : path:string -> string -> unit
 (** [write_file ~path content] replaces [path] with [content]
     atomically. *)
 
-val append_line : path:string -> string -> unit
-(** Append one line (terminator added) with whole-file atomicity: the
-    existing content is re-read and the file rewritten via
-    {!write_file}, so a crash never leaves a half-appended line.
-    Intended for small append-only stores (the run ledger); the
-    O(file-size) rewrite is noise next to the runs it records. Not
-    safe against two processes appending concurrently. *)
+val append_lines : path:string -> existing:string -> string list -> unit
+(** [append_lines ~path ~existing lines] atomically replaces [path] with
+    [existing], a newline if [existing] is non-empty and does not end in
+    one (so a torn last line never absorbs the next record), and each of
+    [lines] newline-terminated. [existing] is the file's current content
+    as the caller read it ([""] for a missing file): a store that reads
+    its file before appending pays one read and one atomic write. The
+    whole file is rewritten, so the cost is O(file size); a write by
+    another process between the caller's read and this call is lost. *)

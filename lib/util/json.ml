@@ -86,24 +86,29 @@ exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
+(* The cursor is read directly, [pos] checked against the text's length
+   before each index: an [option]-returning peek would allocate a
+   [Some] per byte without flambda. *)
 type cursor = { text : string; mutable pos : int }
-
-let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
 
 let advance c = c.pos <- c.pos + 1
 
+let at_end c = c.pos >= String.length c.text
+
 let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance c;
-    skip_ws c
-  | _ -> ()
+  if not (at_end c) then
+    match c.text.[c.pos] with
+    | ' ' | '\t' | '\n' | '\r' ->
+      advance c;
+      skip_ws c
+    | _ -> ()
 
 let expect c ch =
-  match peek c with
-  | Some got when got = ch -> advance c
-  | Some got -> fail "expected %C at offset %d, got %C" ch c.pos got
-  | None -> fail "expected %C at offset %d, got end of input" ch c.pos
+  if at_end c then fail "expected %C at offset %d, got end of input" ch c.pos
+  else
+    let got = c.text.[c.pos] in
+    if got = ch then advance c
+    else fail "expected %C at offset %d, got %C" ch c.pos got
 
 (* Encode a Unicode scalar value as UTF-8 bytes (for \uXXXX escapes;
    surrogate pairs outside the BMP are not combined — the serializer
@@ -120,48 +125,70 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+(* First offset at or after [i] holding a quote or a backslash, or the
+   text's length if there is none. *)
+let rec plain_end text i =
+  if i >= String.length text then i
+  else match text.[i] with '"' | '\\' -> i | _ -> plain_end text (i + 1)
+
+(* Escape-free literals (every ledger key and almost every value) are
+   one [String.sub]; only a literal with a backslash goes through a
+   buffer. *)
 let parse_string c =
   expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail "unterminated string at offset %d" c.pos
-    | Some '"' -> advance c
-    | Some '\\' ->
-      advance c;
-      (match peek c with
-      | Some '"' -> Buffer.add_char buf '"'; advance c
-      | Some '\\' -> Buffer.add_char buf '\\'; advance c
-      | Some '/' -> Buffer.add_char buf '/'; advance c
-      | Some 'n' -> Buffer.add_char buf '\n'; advance c
-      | Some 'r' -> Buffer.add_char buf '\r'; advance c
-      | Some 't' -> Buffer.add_char buf '\t'; advance c
-      | Some 'b' -> Buffer.add_char buf '\b'; advance c
-      | Some 'f' -> Buffer.add_char buf '\012'; advance c
-      | Some 'u' ->
+  let text = c.text in
+  let start = c.pos in
+  let stop = plain_end text start in
+  if stop < String.length text && text.[stop] = '"' then begin
+    c.pos <- stop + 1;
+    String.sub text start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf text start (stop - start);
+    c.pos <- stop;
+    let rec go () =
+      if at_end c then fail "unterminated string at offset %d" c.pos;
+      match text.[c.pos] with
+      | '"' -> advance c
+      | '\\' ->
         advance c;
-        if c.pos + 4 > String.length c.text then
-          fail "truncated \\u escape at offset %d" c.pos;
-        let hex = String.sub c.text c.pos 4 in
-        (match int_of_string_opt ("0x" ^ hex) with
-        | Some code ->
-          add_utf8 buf code;
-          c.pos <- c.pos + 4
-        | None -> fail "bad \\u escape %S at offset %d" hex c.pos)
-      | Some other -> fail "bad escape \\%C at offset %d" other c.pos
-      | None -> fail "truncated escape at offset %d" c.pos);
-      go ()
-    | Some ch ->
-      Buffer.add_char buf ch;
-      advance c;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+        if at_end c then fail "truncated escape at offset %d" c.pos;
+        (match text.[c.pos] with
+        | '"' -> Buffer.add_char buf '"'; advance c
+        | '\\' -> Buffer.add_char buf '\\'; advance c
+        | '/' -> Buffer.add_char buf '/'; advance c
+        | 'n' -> Buffer.add_char buf '\n'; advance c
+        | 'r' -> Buffer.add_char buf '\r'; advance c
+        | 't' -> Buffer.add_char buf '\t'; advance c
+        | 'b' -> Buffer.add_char buf '\b'; advance c
+        | 'f' -> Buffer.add_char buf '\012'; advance c
+        | 'u' ->
+          advance c;
+          if c.pos + 4 > String.length text then
+            fail "truncated \\u escape at offset %d" c.pos;
+          let hex = String.sub text c.pos 4 in
+          (match int_of_string_opt ("0x" ^ hex) with
+          | Some code ->
+            add_utf8 buf code;
+            c.pos <- c.pos + 4
+          | None -> fail "bad \\u escape %S at offset %d" hex c.pos)
+        | other -> fail "bad escape \\%C at offset %d" other c.pos);
+        go ()
+      | _ ->
+        let stop = plain_end text c.pos in
+        Buffer.add_substring buf text c.pos (stop - c.pos);
+        c.pos <- stop;
+        go ()
+    in
+    go ();
+    Buffer.contents buf
+  end
 
 let parse_literal c lit value =
   let n = String.length lit in
-  if c.pos + n <= String.length c.text && String.sub c.text c.pos n = lit then begin
+  let rec matches i = i = n || (c.text.[c.pos + i] = lit.[i] && matches (i + 1)) in
+  if c.pos + n <= String.length c.text && matches 0 then begin
     c.pos <- c.pos + n;
     value
   end
@@ -173,7 +200,7 @@ let number_char = function
 
 let parse_number c =
   let start = c.pos in
-  while (match peek c with Some ch -> number_char ch | None -> false) do
+  while (not (at_end c)) && number_char c.text.[c.pos] do
     advance c
   done;
   let image = String.sub c.text start (c.pos - start) in
@@ -181,23 +208,26 @@ let parse_number c =
   | Some v -> Num v
   | None -> fail "bad number %S at offset %d" image start
 
+(* True when the cursor sits on [ch]. *)
+let at c ch = (not (at_end c)) && c.text.[c.pos] = ch
+
 let rec parse_value c =
   skip_ws c;
-  match peek c with
-  | None -> fail "unexpected end of input at offset %d" c.pos
-  | Some '"' -> Str (parse_string c)
-  | Some '{' -> parse_obj c
-  | Some '[' -> parse_list c
-  | Some 't' -> parse_literal c "true" (Bool true)
-  | Some 'f' -> parse_literal c "false" (Bool false)
-  | Some 'n' -> parse_literal c "null" Null
-  | Some ch when number_char ch -> parse_number c
-  | Some ch -> fail "unexpected %C at offset %d" ch c.pos
+  if at_end c then fail "unexpected end of input at offset %d" c.pos;
+  match c.text.[c.pos] with
+  | '"' -> Str (parse_string c)
+  | '{' -> parse_obj c
+  | '[' -> parse_list c
+  | 't' -> parse_literal c "true" (Bool true)
+  | 'f' -> parse_literal c "false" (Bool false)
+  | 'n' -> parse_literal c "null" Null
+  | ch when number_char ch -> parse_number c
+  | ch -> fail "unexpected %C at offset %d" ch c.pos
 
 and parse_obj c =
   expect c '{';
   skip_ws c;
-  if peek c = Some '}' then begin
+  if at c '}' then begin
     advance c;
     Obj []
   end
@@ -211,11 +241,11 @@ and parse_obj c =
       let v = parse_value c in
       fields := (key, v) :: !fields;
       skip_ws c;
-      match peek c with
-      | Some ',' ->
+      if at c ',' then begin
         advance c;
         go ()
-      | _ -> expect c '}'
+      end
+      else expect c '}'
     in
     go ();
     Obj (List.rev !fields)
@@ -224,7 +254,7 @@ and parse_obj c =
 and parse_list c =
   expect c '[';
   skip_ws c;
-  if peek c = Some ']' then begin
+  if at c ']' then begin
     advance c;
     List []
   end
@@ -234,11 +264,11 @@ and parse_list c =
       let v = parse_value c in
       items := v :: !items;
       skip_ws c;
-      match peek c with
-      | Some ',' ->
+      if at c ',' then begin
         advance c;
         go ()
-      | _ -> expect c ']'
+      end
+      else expect c ']'
     in
     go ();
     List (List.rev !items)
@@ -256,7 +286,13 @@ let parse text =
 
 (* --- accessors -------------------------------------------------------- *)
 
-let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
+(* [List.assoc_opt] with [String.equal] in place of the slower
+   polymorphic compare: ledger decoding looks up every field by name. *)
+let rec assoc_string key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc_string key rest
+
+let member key = function Obj fields -> assoc_string key fields | _ -> None
 
 let to_float = function Num v -> Some v | _ -> None
 

@@ -62,6 +62,168 @@ let test_json_float_bits =
       | Ok (J.Num f') -> Int64.bits_of_float f = Int64.bits_of_float f'
       | _ -> false)
 
+(* --- Json.parse against its reference oracle ----------------------------- *)
+
+(* [Json_oracle] is the parser as it was before the cursor rewrite. The
+   library parser must agree with it on every input — the value (floats
+   by bit image), or the exact [Error] message — and never raise.
+   [Request], [Protocol] and [Ndjson] all decode through [Json.parse],
+   so these properties cover every wire decoder's first stage. *)
+
+let rec json_equal a b =
+  match (a, b) with
+  | J.Num x, J.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | J.List xs, J.List ys ->
+    List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | J.Obj xs, J.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
+  | _ -> a = b
+
+let agrees_with_oracle text =
+  match (J.parse text, Json_oracle.parse text) with
+  | Ok a, Ok b -> json_equal a b
+  | Error a, Error b -> a = b
+  | _ -> false
+  | exception _ -> false
+
+(* Bytes biased towards the ones JSON's grammar and escapes care about. *)
+let json_byte =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, printable);
+        (3, oneofl [ '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\000'; '\031'; 'u' ]);
+        ( 2,
+          oneofl
+            [ '{'; '}'; '['; ']'; ':'; ','; ' '; '-'; '+'; '.'; 'e'; '0'; '9' ]
+        );
+        (1, char);
+      ])
+
+let json_number =
+  QCheck.Gen.(
+    oneof
+      [
+        map float_of_int (int_range (-1_000_000) 1_000_000);
+        float;
+        map (fun (m, e) -> float_of_int m *. (10.0 ** float_of_int e))
+          (pair (int_range (-999) 999) (int_range (-30) 30));
+      ])
+
+let json_value =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return J.Null);
+                 (1, map (fun b -> J.Bool b) bool);
+                 (3, map (fun v -> J.Num v) json_number);
+                 (4, map (fun s -> J.Str s) (string_size ~gen:json_byte (0 -- 12)));
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> J.List l) (list_size (0 -- 4) (self (n / 3))));
+                 ( 1,
+                   map
+                     (fun l -> J.Obj l)
+                     (list_size (0 -- 4)
+                        (pair (string_size ~gen:json_byte (0 -- 6)) (self (n / 3)))) );
+               ]))
+
+(* A string literal written by hand, with escapes the serializer never
+   emits: [\/], [\b], [\f] and [\uXXXX] over arbitrary (possibly
+   invalid) hex digits. *)
+let escaped_literal =
+  QCheck.Gen.(
+    let hex = oneofl (String.to_seq "0123456789abcdefABCDEF_xg-" |> List.of_seq) in
+    let piece =
+      frequency
+        [
+          (3, map (String.make 1) printable);
+          ( 2,
+            map (fun c -> "\\" ^ String.make 1 c)
+              (oneofl [ '"'; '\\'; '/'; 'b'; 'f'; 'n'; 'r'; 't'; 'q' ]) );
+          (2, map (fun h -> "\\u" ^ h) (string_size ~gen:hex (return 4)));
+        ]
+    in
+    map (fun ps -> "\"" ^ String.concat "" ps ^ "\"") (list_size (0 -- 8) piece))
+
+(* Bare number images, well-formed or not: signs, leading zeros,
+   negative zero, a trailing point, long mantissas and exponents. *)
+let number_image =
+  QCheck.Gen.(
+    let digits lo hi = string_size ~gen:(char_range '0' '9') (lo -- hi) in
+    map
+      (fun (((sign, int_part), frac), exp) -> sign ^ int_part ^ frac ^ exp)
+      (pair
+         (pair
+            (pair (oneofl [ ""; "-"; "+" ]) (digits 0 12))
+            (oneof [ return ""; return "."; map (( ^ ) ".") (digits 1 12) ]))
+         (oneof [ return ""; map (( ^ ) "e") (digits 1 3); return "e-5" ])))
+
+let json_text =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map J.to_string json_value);
+        (2, number_image);
+        (1, escaped_literal);
+        ( 1,
+          map2
+            (fun lit v -> "[" ^ lit ^ ", " ^ J.to_string v ^ "]")
+            escaped_literal json_value );
+      ])
+
+(* Replace, delete or insert one byte, [k] times, then maybe truncate. *)
+let mutate_text =
+  QCheck.Gen.(
+    let edit text =
+      let n = String.length text in
+      if n = 0 then map (String.make 1) json_byte
+      else
+        int_bound (n - 1) >>= fun i ->
+        json_byte >>= fun c ->
+        oneofl
+          [
+            String.mapi (fun j x -> if j = i then c else x) text;
+            String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1);
+            String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i);
+          ]
+    in
+    let rec edits k text = if k = 0 then return text else edit text >>= edits (k - 1) in
+    json_text >>= fun text ->
+    int_range 0 3 >>= fun k ->
+    edits k text >>= fun text ->
+    bool >>= fun cut ->
+    if cut && text <> "" then
+      map (fun i -> String.sub text 0 i) (int_bound (String.length text))
+    else return text)
+
+let oracle_test ~name gen =
+  QCheck.Test.make ~count:1000 ~name
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    agrees_with_oracle
+
+let test_json_oracle_serialized =
+  oracle_test ~name:"json: parse = oracle on serialized values" json_text
+
+let test_json_oracle_mutated =
+  oracle_test ~name:"json: parse = oracle on mutated and truncated text"
+    mutate_text
+
+let test_json_oracle_bytes =
+  oracle_test ~name:"json: parse = oracle on random bytes"
+    QCheck.Gen.(
+      oneof
+        [ string_size ~gen:json_byte (0 -- 40); string_size ~gen:char (0 -- 40) ])
+
 (* --- Atomic_io -------------------------------------------------------- *)
 
 let test_atomic_io () =
@@ -80,13 +242,16 @@ let test_atomic_io () =
     (read_file path);
   Alcotest.(check bool) "no stale temp file" false
     (Sys.file_exists (path ^ ".tmp"));
-  A.append_line ~path "three";
-  A.append_line ~path "four";
-  Alcotest.(check string) "append_line terminates lines" "two\nthree\nfour\n"
-    (read_file path);
+  A.append_lines ~path ~existing:(read_file path) [ "three" ];
+  A.append_lines ~path ~existing:(read_file path) [ "four" ];
+  Alcotest.(check string) "append_lines terminates lines"
+    "two\nthree\nfour\n" (read_file path);
+  A.append_lines ~path ~existing:(read_file path) [ "five"; "six" ];
+  Alcotest.(check string) "append_lines adds no second fence"
+    "two\nthree\nfour\nfive\nsix\n" (read_file path);
   let fresh = Filename.concat dir "fresh.txt" in
-  A.append_line ~path:fresh "first";
-  Alcotest.(check string) "append_line creates the file" "first\n"
+  A.append_lines ~path:fresh ~existing:"" [ "first" ];
+  Alcotest.(check string) "append_lines creates the file" "first\n"
     (read_file fresh)
 
 (* --- Ledger ----------------------------------------------------------- *)
@@ -171,13 +336,189 @@ let test_ledger_store () =
   | None -> Alcotest.fail "latest not found");
   Alcotest.(check bool) "unknown id is None" true (L.find ~dir "r99" = None);
   (* malformed lines are skipped, not fatal *)
-  A.append_line ~path:(L.ledger_path ~dir) "{not json";
-  A.append_line ~path:(L.ledger_path ~dir) "[1,2,3]";
+  let path = L.ledger_path ~dir in
+  A.append_lines ~path ~existing:(read_file path) [ "{not json"; "[1,2,3]" ];
   Alcotest.(check int) "malformed lines skipped on load" 2
     (List.length (L.load ~dir));
   (* ids keep counting past skipped garbage: count-based assignment *)
   let r3 = L.append ~dir (mk_run ~label:"third" ()) in
   Alcotest.(check string) "next id after garbage" "r3" r3.L.id
+
+(* --- Ledger ids ---------------------------------------------------------- *)
+
+(* [Ledger.append] reads each line's id off its fixed prefix instead of
+   parsing the ledger. The reference is the parse-everything rule it
+   replaced: one past the highest numeric id [load] returns. *)
+
+let id_number id =
+  if String.length id > 1 && id.[0] = 'r' then
+    int_of_string_opt (String.sub id 1 (String.length id - 1))
+  else None
+
+let oracle_next_id ~dir =
+  1
+  + List.fold_left
+      (fun acc r ->
+        match id_number r.L.id with Some n -> max acc n | None -> acc)
+      0 (L.load ~dir)
+
+(* Variant [v] of the grid: equal variants share a (fingerprint, digest)
+   pair, so [gc] and [merge] have duplicates to drop. *)
+let variant_run v =
+  mk_run ~label:(Printf.sprintf "v%d" v)
+    ~cells:
+      (Array.map (fun c -> { c with L.ipc = c.L.ipc +. float_of_int v }) grid_cells)
+    ()
+
+let append_raw ~dir lines =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let path = L.ledger_path ~dir in
+  let existing = if Sys.file_exists path then read_file path else "" in
+  A.append_lines ~path ~existing lines
+
+type ledger_op =
+  | Append of int
+  | Gc
+  | Merge of int list
+  | Garbage of string
+  | Foreign of int
+
+let show_ledger_op = function
+  | Append v -> Printf.sprintf "append v%d" v
+  | Gc -> "gc"
+  | Merge vs ->
+    Printf.sprintf "merge [%s]" (String.concat ";" (List.map string_of_int vs))
+  | Garbage g -> Printf.sprintf "garbage %S" g
+  | Foreign k -> Printf.sprintf "foreign +%d" k
+
+let ledger_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat ", " (List.map show_ledger_op ops))
+    QCheck.Gen.(
+      list_size (1 -- 12)
+        (frequency
+           [
+             (5, map (fun v -> Append v) (int_bound 3));
+             (1, return Gc);
+             (1, map (fun vs -> Merge vs) (list_size (0 -- 3) (int_bound 5)));
+             ( 2,
+               map
+                 (fun g -> Garbage g)
+                 (oneofl
+                    [ "{not json"; "[1,2,3]"; ""; "   "; {|{"schema":1}|} ]) );
+             (1, map (fun k -> Foreign k) (0 -- 3));
+           ]))
+
+let test_ledger_next_id_oracle =
+  QCheck.Test.make ~count:100
+    ~name:"ledger: prefix-read next id = max+1 over append/gc/merge/garbage"
+    ledger_ops (fun ops ->
+      let root = tmp_dir () in
+      let dir = Filename.concat root "runs" in
+      let step i = function
+        | Append v ->
+          let expected = oracle_next_id ~dir in
+          (L.append ~dir (variant_run v)).L.id = Printf.sprintf "r%d" expected
+        | Gc ->
+          ignore (L.gc ~dir ());
+          true
+        | Merge vs ->
+          let src = Filename.concat root (Printf.sprintf "src%d" i) in
+          List.iter (fun v -> ignore (L.append ~dir:src (variant_run v))) vs;
+          let expected = oracle_next_id ~dir in
+          let report = L.merge ~dir ~from:[ src ] () in
+          List.mapi (fun k r -> (k, r.L.id)) report.L.added
+          |> List.for_all (fun (k, id) ->
+                 id = Printf.sprintf "r%d" (expected + k))
+        | Garbage g ->
+          append_raw ~dir [ g ];
+          true
+        | Foreign k ->
+          (* a valid record whose line lacks the id prefix (as after a
+             hand edit), carrying an id [k] past the current maximum:
+             only the per-line fallback parse can see it *)
+          let id = Printf.sprintf "r%d" (oracle_next_id ~dir + k) in
+          append_raw ~dir
+            [ " " ^ J.to_string (L.to_json { (variant_run 9) with L.id }) ];
+          true
+      in
+      let ok = List.for_all Fun.id (List.mapi step ops) in
+      let ids = List.filter_map (fun r -> id_number r.L.id) (L.load ~dir) in
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> a < b && increasing rest
+        | _ -> true
+      in
+      ok && increasing ids)
+
+(* Damage the file (byte edits, often inside a line's id prefix, and a
+   truncation), then append: the new id may skip numbers but must be
+   past every id [load] still returns, and the file must hold exactly
+   the damaged text, a fence if it lacked a final newline, and the new
+   line. *)
+let test_ledger_next_id_corruption =
+  let gen =
+    QCheck.Gen.(
+      triple (1 -- 4)
+        (list_size (0 -- 4)
+           (quad bool nat (0 -- 18)
+              (frequency
+                 [
+                   (3, oneofl [ '0'; '7'; '9'; '"'; '\n'; 'r'; '{'; ' ' ]);
+                   (1, char);
+                 ])))
+        (opt nat))
+  in
+  let print (n, edits, cut) =
+    Printf.sprintf "%d records, edits [%s], cut %s" n
+      (String.concat "; "
+         (List.map
+            (fun (near, a, b, c) -> Printf.sprintf "(%b,%d,%d,%C)" near a b c)
+            edits))
+      (match cut with Some c -> string_of_int c | None -> "none")
+  in
+  QCheck.Test.make ~count:200
+    ~name:"ledger: next id never repeats a loadable id under corruption"
+    (QCheck.make ~print gen) (fun (n, edits, cut) ->
+      let dir = Filename.concat (tmp_dir ()) "runs" in
+      for v = 1 to n do
+        ignore (L.append ~dir (variant_run v))
+      done;
+      let path = L.ledger_path ~dir in
+      let text = Bytes.of_string (read_file path) in
+      let len = Bytes.length text in
+      let line_starts =
+        0
+        :: List.filter_map
+             (fun i -> if Bytes.get text i = '\n' then Some (i + 1) else None)
+             (List.init len Fun.id)
+      in
+      List.iter
+        (fun (near_prefix, a, b, c) ->
+          let pos =
+            if near_prefix then
+              List.nth line_starts (a mod List.length line_starts) + b
+            else a
+          in
+          Bytes.set text (pos mod len) c)
+        edits;
+      let damaged = Bytes.to_string text in
+      let damaged =
+        match cut with
+        | Some c -> String.sub damaged 0 (c mod (len + 1))
+        | None -> damaged
+      in
+      A.write_file ~path damaged;
+      let floor = oracle_next_id ~dir in
+      let r = L.append ~dir (variant_run 0) in
+      let fence =
+        if damaged = "" || String.ends_with ~suffix:"\n" damaged then ""
+        else "\n"
+      in
+      (match id_number r.L.id with Some k -> k >= floor | None -> false)
+      && read_file path
+         = damaged ^ fence ^ J.to_string (L.to_json r) ^ "\n"
+      && List.length (List.filter (fun x -> x.L.id = r.L.id) (L.load ~dir))
+         = 1)
 
 let test_ledger_diff () =
   let ra = mk_run ~label:"a" () in
@@ -679,9 +1020,14 @@ let suite =
     [
       Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
       QCheck_alcotest.to_alcotest test_json_float_bits;
+      QCheck_alcotest.to_alcotest test_json_oracle_serialized;
+      QCheck_alcotest.to_alcotest test_json_oracle_mutated;
+      QCheck_alcotest.to_alcotest test_json_oracle_bytes;
       Alcotest.test_case "atomic file writes" `Quick test_atomic_io;
       Alcotest.test_case "ledger make + json" `Quick test_ledger_make_and_json;
       Alcotest.test_case "ledger store" `Quick test_ledger_store;
+      QCheck_alcotest.to_alcotest test_ledger_next_id_oracle;
+      QCheck_alcotest.to_alcotest test_ledger_next_id_corruption;
       Alcotest.test_case "ledger diff attribution" `Quick test_ledger_diff;
       Alcotest.test_case "openmetrics render lints clean" `Quick
         test_openmetrics_render_and_lint;

@@ -235,6 +235,42 @@ let temp_dir () =
   Sys.mkdir dir 0o755;
   dir
 
+(* Ledger fingerprints, grid digests and cache keys share one FNV-1a.
+   Their bits are persisted (ledger records, preloaded cache entries),
+   so they are pinned: the published FNV-1a test vectors, and golden
+   keys recorded before the hash was shared. *)
+let test_fnv_bits_pinned () =
+  let hex v = Printf.sprintf "%016Lx" v in
+  Alcotest.(check string) "empty input is the offset basis" "cbf29ce484222325"
+    (hex (Ledger.fnv1a64 Ledger.fnv_offset ""));
+  Alcotest.(check string) "FNV-1a(\"a\")" "af63dc4c8601ec8c"
+    (hex (Ledger.fnv1a64 Ledger.fnv_offset "a"));
+  Alcotest.(check string) "FNV-1a(\"foobar\")" "85944171f73967e8"
+    (hex (Ledger.fnv1a64 Ledger.fnv_offset "foobar"));
+  Alcotest.(check string) "static fingerprint" "8bbd772fb549881f"
+    (Ledger.fingerprint_of ~scale:"quick" ~seed:0xC5EEDL
+       ~scheme_names:[ "1S"; "2SC3" ] ~mix_names:[ "LLHH"; "MMMM" ] ());
+  Alcotest.(check string) "adaptive fingerprint" "a0759f9d8ce0bc60"
+    (Ledger.fingerprint_of ~policy:"adaptive" ~scale:"default" ~seed:7L
+       ~scheme_names:[ "C4" ] ~mix_names:[ "HHHH" ] ());
+  Alcotest.(check string) "cell key" "da1fae0343fb93fd"
+    (Cache.cell_key ~scale:"quick" ~seed:0xC5EEDL ~mix:"LLHH" ~scheme:"2SC3");
+  let cell mix scheme ipc attempts degraded =
+    {
+      Ledger.mix;
+      scheme;
+      ipc;
+      elapsed_s = 0.0;
+      started_s = 0.0;
+      worker = 0;
+      attempts;
+      degraded;
+    }
+  in
+  Alcotest.(check string) "grid digest (nan cell included)" "fe00708a4891087f"
+    (Ledger.grid_digest
+       [| cell "LLHH" "1S" 1.25 1 false; cell "MMMM" "2SC3" Float.nan 2 true |])
+
 let test_cache_keys () =
   let key = Cache.cell_key ~scale:"quick" ~seed:42L ~mix:"LLHH" ~scheme:"C4" in
   Alcotest.(check string) "key is stable" key
@@ -765,6 +801,7 @@ let suite =
       Alcotest.test_case "scheduler: priority + FIFO" `Quick test_scheduler_priority_fifo;
       Alcotest.test_case "scheduler: backfilling" `Quick test_scheduler_backfill;
       Alcotest.test_case "scheduler: edge cases" `Quick test_scheduler_edges;
+      Alcotest.test_case "fnv1a64: bits pinned" `Quick test_fnv_bits_pinned;
       Alcotest.test_case "cache: key dimensions" `Quick test_cache_keys;
       Alcotest.test_case "cache: ingestion policy" `Quick test_cache_ingestion_policy;
       Alcotest.test_case "cache: ledger preload" `Quick test_cache_preload;
