@@ -409,6 +409,9 @@ let run cfg =
     emit_cell job idx r
   in
   let completed_jobs = ref 0 in
+  (* Held until shutdown, so a warm submit's append reads nothing back
+     from the ledger. The file is opened by the first append. *)
+  let ledger = Ledger.Writer.open_ ~dir:cfg.runs_dir in
   let finalize job =
     let wall_s = Unix.gettimeofday () -. job.j_t0 in
     let cells =
@@ -463,7 +466,7 @@ let run cfg =
       if cfg.no_ledger then None
       else begin
         let t_app = Span.now tracer in
-        match Ledger.append ~dir:cfg.runs_dir record with
+        match Ledger.Writer.append ledger record with
         | r ->
           job_span job ~parent:job.j_root ~kind:Span.Ledger_append
             ~name:job.j_id ~lane:"server" ~start_s:t_app
@@ -902,6 +905,7 @@ let run cfg =
   (* --- main loop -------------------------------------------------------- *)
   write_metrics ();
   let cleanup () =
+    Ledger.Writer.close ledger;
     List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !listeners;
     Hashtbl.iter (fun _ c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ())
       clients;

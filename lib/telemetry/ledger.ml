@@ -16,16 +16,14 @@
      grep, and the hex bit image [bits] which is authoritative. A run
      round-tripped through the ledger diffs as Identical against the
      original, including nan (degraded) cells.
-   - An append is one read and one atomic rewrite through
-     [Vliw_util.Atomic_io], so a kill mid-append never leaves a torn
-     line; a malformed line (manual edit, disk corruption) is skipped
-     by [load] rather than fatal.
+   - An append is one locked O_APPEND write (see [Writer]). A kill
+     mid-append can leave a torn final line, which [load] skips like
+     any malformed line and the next append fences off with a newline.
    - Ids are assigned at append time as "r1", "r2", ... in file order,
      so CLI invocations can name runs cheaply. The next id is read off
      each line's fixed [{"schema":1,"id":"rN"] prefix, not by parsing
      the ledger, so an append's cost does not grow with a JSON parse of
-     every record. The ledger is a single-user, single-writer store by
-     design. *)
+     every record. *)
 
 type cell = {
   mix : string;
@@ -375,43 +373,172 @@ let next_id text =
   in
   1 + go 0 0
 
-(* Persist [runs] after the ledger's current [text] in one atomic
-   rewrite: the file ends up as exactly [text], a newline fence if it
-   lacked one, and one line per record. *)
-let write_after ~dir text runs =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  Vliw_util.Atomic_io.append_lines ~path:(ledger_path ~dir) ~existing:text
-    (List.map (fun r -> J.to_string (to_json r)) runs)
+(* Successive ids from [next], in list order. *)
+let numbered next runs =
+  List.mapi (fun k r -> { r with id = Printf.sprintf "r%d" (next + k) }) runs
 
-let append ~dir run =
-  let text = read_text ~dir in
-  let run = { run with id = Printf.sprintf "r%d" (next_id text) } in
-  write_after ~dir text [ run ];
-  run
+(* The one append path. The writer keeps the ledger open and remembers
+   how much of it it has scanned, so a steady-state append reads
+   nothing: it serializes the record and issues one O_APPEND write.
+   Two locks order appenders: a process-wide mutex for the domains of
+   one process (POSIX record locks never exclude a process from itself,
+   and closing any descriptor of the file drops them) and [Unix.lockf]
+   on the file for other processes. [gc] and [merge] take the same
+   pair. *)
+module Writer = struct
+  type t = {
+    path : string;
+    mutable fd : Unix.file_descr option;  (* opened by the first append *)
+    mutable seen : int;  (* bytes of the open file already scanned *)
+    mutable next : int;  (* one past the highest id in those bytes *)
+    mutable fenced : bool;  (* those bytes are empty or end in '\n' *)
+  }
+
+  let process_lock = Mutex.create ()
+
+  let open_ ~dir =
+    { path = ledger_path ~dir; fd = None; seen = 0; next = 1; fenced = true }
+
+  let rescan t =
+    t.seen <- 0;
+    t.next <- 1;
+    t.fenced <- true
+
+  let forget t =
+    Option.iter Unix.close t.fd;
+    t.fd <- None;
+    rescan t
+
+  let close t = Mutex.protect process_lock (fun () -> forget t)
+
+  (* [lockf] covers the file from the current offset on, so rewind
+     first: every lock and unlock then covers the whole file. A signal
+     (the daemon's drain) may interrupt the wait for another process. *)
+  let rec lock fd cmd =
+    ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+    try Unix.lockf fd cmd 0
+    with Unix.Unix_error (Unix.EINTR, _, _) -> lock fd cmd
+
+  (* Lock the file that is at [path] now. [gc] and [merge] replace the
+     ledger by rename, so a lock won on a file that has since been
+     renamed over (or removed) is dropped, and the new file is opened,
+     locked and later scanned from its start. *)
+  let rec acquire t =
+    let fd =
+      match t.fd with
+      | Some fd -> fd
+      | None ->
+        let dir = Filename.dirname t.path in
+        (try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ());
+        let flags = Unix.[ O_RDWR; O_APPEND; O_CREAT; O_CLOEXEC ] in
+        let fd = Unix.openfile t.path flags 0o644 in
+        t.fd <- Some fd;
+        fd
+    in
+    lock fd Unix.F_LOCK;
+    let st = Unix.fstat fd in
+    match Unix.stat t.path with
+    | p when p.st_dev = st.st_dev && p.st_ino = st.st_ino -> (fd, st.st_size)
+    | _ | (exception Unix.Unix_error (Unix.ENOENT, _, _)) ->
+      forget t;
+      acquire t
+
+  (* [f fd size] with both locks held on the file at [path]. *)
+  let locked t f =
+    Mutex.protect process_lock (fun () ->
+        let fd, size = acquire t in
+        Fun.protect
+          ~finally:(fun () -> if t.fd = Some fd then lock fd Unix.F_ULOCK)
+          (fun () -> f fd size))
+
+  let read_range fd off len =
+    let buf = Bytes.create len in
+    ignore (Unix.lseek fd off Unix.SEEK_SET);
+    let rec fill pos =
+      if pos = len then pos
+      else match Unix.read fd buf pos (len - pos) with 0 -> pos | n -> fill (pos + n)
+    in
+    let n = fill 0 in
+    if n = len then Bytes.unsafe_to_string buf else Bytes.sub_string buf 0 n
+
+  (* One locked write of the lines [render next] returns. First [next]
+     and [fenced] are brought up to the bytes on file: nothing is read
+     if the file is as the last write left it, only the new suffix if
+     another writer grew it, and everything if it shrank. A failed
+     write leaves the file's state unknown, so the next one rescans. *)
+  let write t render =
+    locked t (fun fd size ->
+        if size < t.seen then rescan t;
+        let suffix = read_range fd t.seen (size - t.seen) in
+        if suffix <> "" then begin
+          t.next <- max t.next (next_id suffix);
+          t.seen <- t.seen + String.length suffix;
+          t.fenced <- String.ends_with ~suffix:"\n" suffix
+        end;
+        let lines, result = render t.next in
+        if lines <> [] then begin
+          let text =
+            String.concat "\n" ((if t.fenced then [] else [ "" ]) @ lines @ [ "" ])
+          in
+          (try ignore (Unix.write_substring fd text 0 (String.length text))
+           with e ->
+             forget t;
+             raise e);
+          t.next <- max t.next (next_id text);
+          t.seen <- t.seen + String.length text;
+          t.fenced <- true
+        end;
+        result)
+
+  let append_all t runs =
+    write t (fun next ->
+        let runs = numbered next runs in
+        (List.map (fun r -> J.to_string (to_json r)) runs, runs))
+
+  let append t run =
+    match append_all t [ run ] with [ r ] -> r | _ -> assert false
+
+  let append_lines t lines = write t (fun _ -> (lines, ()))
+end
+
+let with_writer ~dir f =
+  let w = Writer.open_ ~dir in
+  Fun.protect ~finally:(fun () -> Writer.close w) (fun () -> f w)
+
+let append ~dir run = with_writer ~dir (fun w -> Writer.append w run)
 
 type gc_report = { kept : run list; dropped : run list }
 
 (* Deduplication key: configuration fingerprint AND grid digest. Two
    records with the same fingerprint but different bits are drift
    evidence (same config, different code revisions) — gc must never
-   collapse them, or [runs diff] loses its witnesses. *)
+   collapse them, or [runs diff] loses its witnesses. A real gc holds
+   the writer's locks from its read to its rename, so no append made
+   meanwhile is lost. *)
 let gc ?(dry_run = false) ~dir () =
-  let runs = load ~dir in
-  let key r = r.fingerprint ^ "\x00" ^ grid_digest r.cells in
-  let newest = Hashtbl.create 16 in
-  List.iteri (fun i r -> Hashtbl.replace newest (key r) i) runs;
-  let kept = ref [] and dropped = ref [] in
-  List.iteri
-    (fun i r ->
-      if Hashtbl.find newest (key r) = i then kept := r :: !kept
-      else dropped := r :: !dropped)
-    runs;
-  let report = { kept = List.rev !kept; dropped = List.rev !dropped } in
-  if (not dry_run) && report.dropped <> [] then
-    Vliw_util.Atomic_io.write_file ~path:(ledger_path ~dir)
-      (String.concat ""
-         (List.map (fun r -> J.to_string (to_json r) ^ "\n") report.kept));
-  report
+  let compact runs =
+    let key r = r.fingerprint ^ "\x00" ^ grid_digest r.cells in
+    let newest = Hashtbl.create 16 in
+    List.iteri (fun i r -> Hashtbl.replace newest (key r) i) runs;
+    let kept = ref [] and dropped = ref [] in
+    List.iteri
+      (fun i r ->
+        if Hashtbl.find newest (key r) = i then kept := r :: !kept
+        else dropped := r :: !dropped)
+      runs;
+    { kept = List.rev !kept; dropped = List.rev !dropped }
+  in
+  let path = ledger_path ~dir in
+  if dry_run || not (Sys.file_exists path) then compact (load ~dir)
+  else
+    with_writer ~dir (fun w ->
+        Writer.locked w (fun fd size ->
+            let report = compact (runs_of_text (Writer.read_range fd 0 size)) in
+            if report.dropped <> [] then
+              Vliw_util.Atomic_io.write_file ~path
+                (String.concat ""
+                   (List.map (fun r -> J.to_string (to_json r) ^ "\n") report.kept));
+            report))
 
 type merge_report = { added : run list; skipped : run list }
 
@@ -421,15 +548,13 @@ type merge_report = { added : run list; skipped : run list }
    identical result computed twice and is skipped. Same-fingerprint
    records with different bits are drift evidence and always merge.
    Added records get fresh target ids; their content (including the
-   original timestamp and git revision) is preserved verbatim. The
-   target is read once and all added records land in one atomic
-   rewrite. *)
+   original timestamp and git revision) is preserved verbatim. All
+   added records land in one locked write. *)
 let merge ?(dry_run = false) ~dir ~from () =
   let text = read_text ~dir in
   let key r = r.fingerprint ^ "\x00" ^ grid_digest r.cells in
   let seen = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace seen (key r) ()) (runs_of_text text);
-  let next = ref (next_id text) in
   let added = ref [] and skipped = ref [] in
   List.iter
     (fun src ->
@@ -438,14 +563,17 @@ let merge ?(dry_run = false) ~dir ~from () =
           if Hashtbl.mem seen (key r) then skipped := r :: !skipped
           else begin
             Hashtbl.replace seen (key r) ();
-            added := { r with id = Printf.sprintf "r%d" !next } :: !added;
-            incr next
+            added := r :: !added
           end)
         (load ~dir:src))
     from;
-  let report = { added = List.rev !added; skipped = List.rev !skipped } in
-  if (not dry_run) && report.added <> [] then write_after ~dir text report.added;
-  report
+  let added = List.rev !added in
+  let added =
+    if added = [] then []
+    else if dry_run then numbered (next_id text) added
+    else with_writer ~dir (fun w -> Writer.append_all w added)
+  in
+  { added; skipped = List.rev !skipped }
 
 let find ~dir wanted =
   let runs = load ~dir in

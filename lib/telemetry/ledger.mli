@@ -8,13 +8,20 @@
     [vliwsim runs diff] bit-compares two records' grids; the HTML report
     plots the cross-run trajectory from the same store.
 
-    The store is single-writer: an append is one read of the file and
-    one atomic rewrite through {!Vliw_util.Atomic_io}, so readers never
-    see a torn line, but two concurrent appenders can lose one record.
-    An append parses no JSON: the next id comes from each line's fixed
-    [{"schema":1,"id":"rN"] prefix, which {!to_json} always writes
-    first; only a line without that prefix is parsed, on its own.
-    Malformed lines are skipped on load rather than fatal. *)
+    Storage discipline:
+    - An append is one O_APPEND write of the new line under a
+      process-wide mutex and a [Unix.lockf] lock on the file, so
+      concurrent appenders, in one process or many, never lose a
+      record. No JSON is parsed: the next id comes from each line's
+      fixed [{"schema":1,"id":"rN"] prefix, which {!to_json} always
+      writes first; only a line without it is parsed, on its own.
+    - A crash mid-append can leave a torn final line. {!load} skips it,
+      as it skips every malformed line; the next append writes a
+      newline before its own line and never reissues an id the torn
+      line's prefix carries.
+    - {!gc} holds the same locks from its read to its atomic rename.
+    - Editing earlier bytes in place while a {!Writer} is open is
+      outside this contract. *)
 
 type cell = {
   mix : string;
@@ -114,16 +121,44 @@ val mean_ipc : run -> float
 
 val append : dir:string -> run -> run
 (** Assign the next id (one past the highest numeric id on file, so ids
-    stay unique across {!gc} gaps), persist atomically (creating [dir]
-    if needed), and return the record with its id filled in.
+    stay unique across {!gc} gaps), append the record (creating [dir]
+    if needed), and return it with its id filled in. Equivalent to
+    {!Writer.open_}, {!Writer.append} and {!Writer.close}, so it reads
+    the whole file once to find the next id.
 
-    The cost is one read and one atomic write, with no JSON parse: each
-    line's id is read off its [{"schema":1,"id":"rN"] prefix, and only
+    A line's id is read off its [{"schema":1,"id":"rN"] prefix, and only
     a line without it falls back to a parse of that line. A torn line
     that still carries the prefix counts, so the new id may leave a
     gap, but it never equals the id of a record {!load} returns. After
     the append the file holds exactly its previous text, a newline if
     that text lacked a final one, and the new record's line. *)
+
+(** A ledger kept open across appends, as the [serve] daemon holds
+    one. Under both locks, an append compares the open file with the one
+    at the ledger's path: if it is the same file at the size of the
+    last look, the cached next id stands and nothing is read; if it
+    grew, only the new bytes are scanned; if it was renamed over (by
+    {!gc} or {!merge}), removed or shrunk, it is reopened and scanned
+    whole. Then a fence (if the file lacks a final newline) and the new
+    lines go out in one write. Nothing is fsynced. *)
+module Writer : sig
+  type t
+
+  val open_ : dir:string -> t
+  (** A writer for [dir]'s ledger. The file (and [dir]) is opened, or
+      created, by the first append. *)
+
+  val append : t -> run -> run
+  (** As {!Ledger.append}, through the open file. *)
+
+  val append_lines : t -> string list -> unit
+  (** Append raw lines (each without its newline) in one locked write,
+      fenced as records are. Ids they carry count towards the next id.
+      For tools and tests that write lines other than records. *)
+
+  val close : t -> unit
+  (** Release the file; a later append through the writer reopens it. *)
+end
 
 type gc_report = { kept : run list; dropped : run list }
 (** Both in file order; surviving records keep their original ids. *)
@@ -134,7 +169,8 @@ val gc : ?dry_run:bool -> dir:string -> unit -> gc_report
     equal fingerprints but {e different} grid bits are never collapsed —
     they are drift evidence. With [dry_run] (default false) the file is
     left untouched; otherwise the survivors are rewritten atomically
-    (a no-op when nothing was dropped). *)
+    (a no-op when nothing was dropped), under the append lock from the
+    read to the rename. *)
 
 type merge_report = { added : run list; skipped : run list }
 (** [added] carry their newly assigned target ids; [skipped] are source
@@ -149,9 +185,9 @@ val merge :
     record of this merge — is skipped as an identical duplicate, while
     same-fingerprint records with different grid bits always merge
     (drift evidence). Added records keep their content verbatim but
-    get fresh target ids, numbered as successive {!append}s would. The
-    target is read once and every added record lands in one atomic
-    write. With [dry_run] nothing is written. *)
+    get fresh target ids, numbered as successive {!append}s would.
+    Every added record lands in one locked write. With [dry_run]
+    nothing is written. *)
 
 val load : dir:string -> run list
 (** All parseable records in file (= chronological) order; [] if the

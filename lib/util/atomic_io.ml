@@ -24,17 +24,3 @@ let with_file ~path f =
 
 let write_file ~path content =
   with_file ~path (fun oc -> output_string oc content)
-
-(* The caller passes the content it already read, so a store that must
-   inspect its file before appending (the run ledger picks its next id
-   from it) reads the file once, not twice. *)
-let append_lines ~path ~existing lines =
-  with_file ~path (fun oc ->
-      output_string oc existing;
-      if existing <> "" && not (String.ends_with ~suffix:"\n" existing) then
-        output_char oc '\n';
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        lines)

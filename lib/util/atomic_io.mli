@@ -14,13 +14,3 @@ val with_file : path:string -> (out_channel -> unit) -> unit
 val write_file : path:string -> string -> unit
 (** [write_file ~path content] replaces [path] with [content]
     atomically. *)
-
-val append_lines : path:string -> existing:string -> string list -> unit
-(** [append_lines ~path ~existing lines] atomically replaces [path] with
-    [existing], a newline if [existing] is non-empty and does not end in
-    one (so a torn last line never absorbs the next record), and each of
-    [lines] newline-terminated. [existing] is the file's current content
-    as the caller read it ([""] for a missing file): a store that reads
-    its file before appending pays one read and one atomic write. The
-    whole file is rewritten, so the cost is O(file size); a write by
-    another process between the caller's read and this call is lost. *)

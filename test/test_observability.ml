@@ -241,18 +241,7 @@ let test_atomic_io () =
   Alcotest.(check string) "raising writer leaves old content" "two"
     (read_file path);
   Alcotest.(check bool) "no stale temp file" false
-    (Sys.file_exists (path ^ ".tmp"));
-  A.append_lines ~path ~existing:(read_file path) [ "three" ];
-  A.append_lines ~path ~existing:(read_file path) [ "four" ];
-  Alcotest.(check string) "append_lines terminates lines"
-    "two\nthree\nfour\n" (read_file path);
-  A.append_lines ~path ~existing:(read_file path) [ "five"; "six" ];
-  Alcotest.(check string) "append_lines adds no second fence"
-    "two\nthree\nfour\nfive\nsix\n" (read_file path);
-  let fresh = Filename.concat dir "fresh.txt" in
-  A.append_lines ~path:fresh ~existing:"" [ "first" ];
-  Alcotest.(check string) "append_lines creates the file" "first\n"
-    (read_file fresh)
+    (Sys.file_exists (path ^ ".tmp"))
 
 (* --- Ledger ----------------------------------------------------------- *)
 
@@ -317,6 +306,31 @@ let test_ledger_make_and_json () =
       = Int64.bits_of_float Float.nan)
   | None -> Alcotest.fail "of_json rejected degraded run"
 
+(* Lines another writer appends: garbage, hand-edited records. *)
+let append_raw ~dir lines =
+  let w = L.Writer.open_ ~dir in
+  Fun.protect
+    ~finally:(fun () -> L.Writer.close w)
+    (fun () -> L.Writer.append_lines w lines)
+
+let test_ledger_writer_lines () =
+  let dir = tmp_dir () in
+  let path = L.ledger_path ~dir in
+  A.write_file ~path "two";
+  let w = L.Writer.open_ ~dir in
+  L.Writer.append_lines w [ "three" ];
+  L.Writer.append_lines w [ "four" ];
+  Alcotest.(check string) "append_lines terminates lines"
+    "two\nthree\nfour\n" (read_file path);
+  L.Writer.append_lines w [ "five"; "six" ];
+  Alcotest.(check string) "append_lines adds no second fence"
+    "two\nthree\nfour\nfive\nsix\n" (read_file path);
+  L.Writer.close w;
+  let fresh = Filename.concat (tmp_dir ()) "fresh" in
+  append_raw ~dir:fresh [ "first" ];
+  Alcotest.(check string) "append_lines creates the file" "first\n"
+    (read_file (L.ledger_path ~dir:fresh))
+
 let test_ledger_store () =
   let dir = Filename.concat (tmp_dir ()) "runs" in
   Alcotest.(check (list string)) "missing ledger loads empty" []
@@ -336,8 +350,7 @@ let test_ledger_store () =
   | None -> Alcotest.fail "latest not found");
   Alcotest.(check bool) "unknown id is None" true (L.find ~dir "r99" = None);
   (* malformed lines are skipped, not fatal *)
-  let path = L.ledger_path ~dir in
-  A.append_lines ~path ~existing:(read_file path) [ "{not json"; "[1,2,3]" ];
+  append_raw ~dir [ "{not json"; "[1,2,3]" ];
   Alcotest.(check int) "malformed lines skipped on load" 2
     (List.length (L.load ~dir));
   (* ids keep counting past skipped garbage: count-based assignment *)
@@ -370,18 +383,13 @@ let variant_run v =
       (Array.map (fun c -> { c with L.ipc = c.L.ipc +. float_of_int v }) grid_cells)
     ()
 
-let append_raw ~dir lines =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let path = L.ledger_path ~dir in
-  let existing = if Sys.file_exists path then read_file path else "" in
-  A.append_lines ~path ~existing lines
-
 type ledger_op =
   | Append of int
   | Gc
   | Merge of int list
   | Garbage of string
   | Foreign of int
+  | Shrink of int
 
 let show_ledger_op = function
   | Append v -> Printf.sprintf "append v%d" v
@@ -390,6 +398,7 @@ let show_ledger_op = function
     Printf.sprintf "merge [%s]" (String.concat ";" (List.map string_of_int vs))
   | Garbage g -> Printf.sprintf "garbage %S" g
   | Foreign k -> Printf.sprintf "foreign +%d" k
+  | Shrink k -> Printf.sprintf "shrink -%d lines, append" k
 
 let ledger_ops =
   QCheck.make
@@ -407,18 +416,48 @@ let ledger_ops =
                  (oneofl
                     [ "{not json"; "[1,2,3]"; ""; "   "; {|{"schema":1}|} ]) );
              (1, map (fun k -> Foreign k) (0 -- 3));
+             (1, map (fun k -> Shrink k) (1 -- 2));
            ]))
 
-let test_ledger_next_id_oracle =
-  QCheck.Test.make ~count:100
-    ~name:"ledger: prefix-read next id = max+1 over append/gc/merge/garbage"
-    ledger_ops (fun ops ->
+(* The length of [text] without its last [k] newline-terminated lines. *)
+let without_last_lines text k =
+  let ends =
+    List.filter (fun i -> text.[i] = '\n') (List.init (String.length text) Fun.id)
+  in
+  let keep = List.length ends - k in
+  if keep <= 0 then 0 else List.nth ends (keep - 1) + 1
+
+(* Run an op sequence against one of two writers: a fresh one per
+   append ([Ledger.append]), or one [Ledger.Writer.t] held open across
+   the whole sequence while gc renames the file, merge and hand edits
+   append to it behind its back, and truncation shrinks it. Every
+   append must return exactly the oracle's id and leave the file as its
+   previous bytes, a fence if they lacked a final newline, and the new
+   line. A shrink is followed by an append, so the writer sees it
+   before anything can regrow the file to its old size. *)
+let ledger_ops_property ~held ~name =
+  QCheck.Test.make ~count:100 ~name ledger_ops (fun ops ->
       let root = tmp_dir () in
       let dir = Filename.concat root "runs" in
+      let path = L.ledger_path ~dir in
+      let writer = if held then Some (L.Writer.open_ ~dir) else None in
+      let append_checked v =
+        let before = if Sys.file_exists path then read_file path else "" in
+        let expected = oracle_next_id ~dir in
+        let r =
+          match writer with
+          | Some w -> L.Writer.append w (variant_run v)
+          | None -> L.append ~dir (variant_run v)
+        in
+        let fence =
+          if before = "" || String.ends_with ~suffix:"\n" before then ""
+          else "\n"
+        in
+        r.L.id = Printf.sprintf "r%d" expected
+        && read_file path = before ^ fence ^ J.to_string (L.to_json r) ^ "\n"
+      in
       let step i = function
-        | Append v ->
-          let expected = oracle_next_id ~dir in
-          (L.append ~dir (variant_run v)).L.id = Printf.sprintf "r%d" expected
+        | Append v -> append_checked v
         | Gc ->
           ignore (L.gc ~dir ());
           true
@@ -441,14 +480,30 @@ let test_ledger_next_id_oracle =
           append_raw ~dir
             [ " " ^ J.to_string (L.to_json { (variant_run 9) with L.id }) ];
           true
+        | Shrink k ->
+          if Sys.file_exists path then
+            Unix.truncate path (without_last_lines (read_file path) k);
+          append_checked 0
       in
-      let ok = List.for_all Fun.id (List.mapi step ops) in
+      let ok =
+        Fun.protect
+          ~finally:(fun () -> Option.iter L.Writer.close writer)
+          (fun () -> List.for_all Fun.id (List.mapi step ops))
+      in
       let ids = List.filter_map (fun r -> id_number r.L.id) (L.load ~dir) in
       let rec increasing = function
         | a :: (b :: _ as rest) -> a < b && increasing rest
         | _ -> true
       in
       ok && increasing ids)
+
+let test_ledger_next_id_oracle =
+  ledger_ops_property ~held:false
+    ~name:"ledger: prefix-read next id = max+1 over append/gc/merge/garbage"
+
+let test_ledger_held_writer_oracle =
+  ledger_ops_property ~held:true
+    ~name:"ledger: held writer next id = max+1 under gc/merge/edits/shrink"
 
 (* Damage the file (byte edits, often inside a line's id prefix, and a
    truncation), then append: the new id may skip numbers but must be
@@ -519,6 +574,72 @@ let test_ledger_next_id_corruption =
          = damaged ^ fence ^ J.to_string (L.to_json r) ^ "\n"
       && List.length (List.filter (fun x -> x.L.id = r.L.id) (L.load ~dir))
          = 1)
+
+(* A crash mid-append leaves the start of a record with no newline. *)
+let test_ledger_torn_tail () =
+  let dir = Filename.concat (tmp_dir ()) "runs" in
+  let path = L.ledger_path ~dir in
+  let w = L.Writer.open_ ~dir in
+  ignore (L.Writer.append w (variant_run 1));
+  let line = J.to_string (L.to_json { (variant_run 2) with L.id = "r7" }) in
+  let torn = String.sub line 0 (String.length line / 2) in
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      output_string oc torn);
+  let before = read_file path in
+  Alcotest.(check (list string)) "load skips the torn line" [ "r1" ]
+    (List.map (fun r -> r.L.id) (L.load ~dir));
+  let r = L.Writer.append w (variant_run 3) in
+  Alcotest.(check string) "torn line's prefix id is not reissued" "r8" r.L.id;
+  Alcotest.(check string) "the append fences the torn line"
+    (before ^ "\n" ^ J.to_string (L.to_json r) ^ "\n")
+    (read_file path);
+  L.Writer.close w;
+  Alcotest.(check (list string)) "the fenced ledger loads" [ "r1"; "r8" ]
+    (List.map (fun r -> r.L.id) (L.load ~dir));
+  Alcotest.(check string) "a fresh writer agrees" "r9"
+    (L.append ~dir (variant_run 4)).L.id
+
+(* Two processes append [n] records each to one ledger at the same
+   time, once through [Ledger.append] and once through held writers,
+   while this process keeps appending a duplicate record and running
+   gc, which drops the older duplicate by renaming a compacted file over
+   the ledger. Every appended record must survive, under its own id. *)
+let test_ledger_concurrent_appenders () =
+  let n = 100 in
+  List.iter
+    (fun mode ->
+      let dir = Filename.concat (tmp_dir ()) "runs" in
+      Sys.mkdir dir 0o755;
+      let spawn label =
+        Unix.create_process "./ledger_appender.exe"
+          [| "ledger_appender.exe"; dir; string_of_int n; label; mode |]
+          Unix.stdin Unix.stdout Unix.stderr
+      in
+      let rec churn = function
+        | [] -> ()
+        | pending ->
+          ignore (L.append ~dir (mk_run ~label:"dup" ()));
+          ignore (L.gc ~dir ());
+          churn
+            (List.filter
+               (fun pid ->
+                 match Unix.waitpid [ Unix.WNOHANG ] pid with
+                 | 0, _ -> true
+                 | _, Unix.WEXITED 0 -> false
+                 | _ -> Alcotest.fail "appender process failed")
+               pending)
+      in
+      churn [ spawn "a"; spawn "b" ];
+      let runs = L.load ~dir in
+      let appended = List.filter (fun r -> r.L.label <> "dup") runs in
+      let distinct f rs = List.length (List.sort_uniq compare (List.map f rs)) in
+      Alcotest.(check int) (mode ^ ": every record loads") (2 * n)
+        (List.length appended);
+      Alcotest.(check int) (mode ^ ": every record is distinct") (2 * n)
+        (distinct (fun r -> r.L.label) appended);
+      Alcotest.(check int) (mode ^ ": ids are unique") (List.length runs)
+        (distinct (fun r -> r.L.id) runs))
+    [ "oneshot"; "held" ]
 
 let test_ledger_diff () =
   let ra = mk_run ~label:"a" () in
@@ -1024,10 +1145,16 @@ let suite =
       QCheck_alcotest.to_alcotest test_json_oracle_mutated;
       QCheck_alcotest.to_alcotest test_json_oracle_bytes;
       Alcotest.test_case "atomic file writes" `Quick test_atomic_io;
+      Alcotest.test_case "ledger writer line discipline" `Quick
+        test_ledger_writer_lines;
       Alcotest.test_case "ledger make + json" `Quick test_ledger_make_and_json;
       Alcotest.test_case "ledger store" `Quick test_ledger_store;
       QCheck_alcotest.to_alcotest test_ledger_next_id_oracle;
+      QCheck_alcotest.to_alcotest test_ledger_held_writer_oracle;
       QCheck_alcotest.to_alcotest test_ledger_next_id_corruption;
+      Alcotest.test_case "ledger torn tail" `Quick test_ledger_torn_tail;
+      Alcotest.test_case "ledger concurrent appenders" `Quick
+        test_ledger_concurrent_appenders;
       Alcotest.test_case "ledger diff attribution" `Quick test_ledger_diff;
       Alcotest.test_case "openmetrics render lints clean" `Quick
         test_openmetrics_render_and_lint;
