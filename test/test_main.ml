@@ -18,6 +18,7 @@ let () =
       Test_cost.suite;
       Test_sim.suite;
       Test_adaptive.suite;
+      Test_pinned.suite;
       Test_workloads.suite;
       Test_parallel.suite;
       Test_telemetry.suite;
