@@ -51,8 +51,6 @@ type scheme_bench = {
   sb_threads : int;
   sb_cycles_per_sec : float;
   sb_words_per_cycle : float;
-  sb_hit_rate : float;
-  sb_flushes : int;
 }
 
 let bench_scheme name =
@@ -93,21 +91,11 @@ let bench_scheme name =
   done;
   let dt = Unix.gettimeofday () -. t0 in
   let words = (Gc.allocated_bytes () -. a0) /. 8.0 in
-  let hit_rate, flushes =
-    match Vliw_sim.Core.memo_stats core with
-    | None -> (0.0, 0)
-    | Some s ->
-      let total = s.hits + s.misses in
-      ((if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total),
-       s.flushes)
-  in
   {
     sb_name = name;
     sb_threads = n;
     sb_cycles_per_sec = float_of_int n_steps /. dt;
     sb_words_per_cycle = words /. float_of_int n_steps;
-    sb_hit_rate = hit_rate;
-    sb_flushes = flushes;
   }
 
 let time_exp_all ~scale ~jobs () =
@@ -132,10 +120,8 @@ let write_json ~path ~scale_name ~calib ~exp_all_s schemes =
     (fun i sb ->
       fmt buf
         "    { \"name\": \"%s\", \"threads\": %d, \"cycles_per_sec\": %.0f, \
-         \"words_per_cycle\": %.1f, \"memo_hit_rate\": %.4f, \
-         \"memo_flushes\": %d }%s\n"
+         \"words_per_cycle\": %.1f }%s\n"
         sb.sb_name sb.sb_threads sb.sb_cycles_per_sec sb.sb_words_per_cycle
-        sb.sb_hit_rate sb.sb_flushes
         (if i = List.length schemes - 1 then "" else ","))
     schemes;
   fmt buf "  ]\n}\n";
@@ -161,7 +147,6 @@ let record_ledger ~scale_name ~jobs ~calib ~exp_all_s ~wall_s schemes =
             ("cycles_per_sec." ^ sb.sb_name, sb.sb_cycles_per_sec);
             ("Mcycles_per_sec." ^ sb.sb_name, sb.sb_cycles_per_sec /. 1e6);
             ("words_per_cycle." ^ sb.sb_name, sb.sb_words_per_cycle);
-            ("memo_hit_rate." ^ sb.sb_name, sb.sb_hit_rate);
           ])
         schemes
   in

@@ -206,8 +206,8 @@ module Memo = struct
            (fun acc hw -> Packet.union acc (Option.get avail.(hw)))
            first rest)
 
-  (* [issue_only] callers never read the merged packet (the simulator's
-     hot loop only needs who issued and who was rejected), so the scheme
+  (* [issue_only] callers never read the merged packet (they only need
+     who issued and who was rejected), so the scheme
      tree is evaluated with signature-only unions and hits skip packet
      reconstruction entirely. Full callers rebuild the packet by folding
      real unions over the recorded union order — the same construction
@@ -522,9 +522,15 @@ module Batch = struct
 
   let rejected_capacity t = t.out_capacity
 
-  let order t = t.order
-
-  let order_len t = t.order_len
+  (* The merged packet of the last [eval]: the accepted ports'
+     candidates, [port hw] for port [hw], folded with [Packet.union] in
+     union order — the construction the tree walk performs. *)
+  let packet t port =
+    let rec fold acc k =
+      if k >= t.order_len then acc
+      else fold (Packet.union acc (port t.order.(k))) (k + 1)
+    in
+    if t.order_len = 0 then None else Some (fold (port t.order.(0)) 1)
 end
 
 let select_batched m ?(routing = Conflict.Flexible) scheme ?(rotation = 0) avail
@@ -538,17 +544,7 @@ let select_batched m ?(routing = Conflict.Flexible) scheme ?(rotation = 0) avail
         | Some p -> Batch.set_port_packet b i p)
     avail;
   Batch.eval b ~rotation;
-  let packet =
-    match Batch.order_len b with
-    | 0 -> None
-    | olen ->
-      let first = Option.get avail.(b.Batch.order.(0)) in
-      let acc = ref first in
-      for k = 1 to olen - 1 do
-        acc := Packet.union !acc (Option.get avail.(b.Batch.order.(k)))
-      done;
-      Some !acc
-  in
+  let packet = Batch.packet b (fun hw -> Option.get avail.(hw)) in
   let issued = Packet.bits_to_list (Batch.issued b) in
   let rejected = ref [] in
   let conflict = Batch.rejected_conflict b

@@ -72,7 +72,7 @@ val select_instrs :
     allocation. {!Batch.eval} allocates nothing, so the simulator's
     steady-state loop runs it every cycle and stays off the minor heap.
     Decisions agree bit-for-bit with {!select} (property-tested against
-    {!select_reference}). Single-domain, like {!Memo}. *)
+    {!select_reference}). Single-domain: create one per core. *)
 module Batch : sig
   type t
 
@@ -110,12 +110,12 @@ module Batch : sig
   val rejected_capacity : t -> int
   (** Threads denied by slot capacity, as a bitmask. *)
 
-  val order : t -> int array
-  (** Union-order buffer: ports accepted by the last {!eval}, in union
-      order; only the first {!order_len} entries are meaningful. Shared
-      scratch — do not mutate. *)
-
-  val order_len : t -> int
+  val packet : t -> (int -> Packet.t) -> Packet.t option
+  (** The merged packet of the last {!eval}, [None] when nothing
+      issued: [packet t port] folds {!Packet.union} over [port hw] for
+      the accepted ports [hw], in union order. Allocates; for callers
+      that display the packet ({!select_batched}, the simulator's
+      recorded step), not the per-cycle decision. *)
 end
 
 val select_batched :
@@ -128,8 +128,8 @@ val select_batched :
 (** Same contract as {!select}, evaluated through a throwaway {!Batch}
     (ports loaded with {!Batch.set_port_packet}, packet rebuilt by
     folding {!Packet.union} over the recorded union order). The oracle
-    surface of the batched kernel; the simulator keeps a persistent
-    {!Batch} per scheme instead (see {!Merge_network}). *)
+    surface of the batched kernel; the simulator keeps one persistent
+    {!Batch} for its installed scheme instead (see {!Merge_network}). *)
 
 (** Bounded memo table over selection outcomes.
 
@@ -139,7 +139,8 @@ val select_batched :
     is replayed — the packet rebuilt bit-identically by folding
     {!Packet.union} over the live ports in the recorded union order —
     without evaluating the scheme tree. The table is flushed whole when
-    it reaches its capacity bound. *)
+    it reaches its capacity bound. The simulator decides through
+    {!Batch}; this table survives only as a measured alternative. *)
 module Memo : sig
   type t
 
@@ -172,9 +173,8 @@ module Memo : sig
   (** Like {!select} but the returned [packet] is [None] whenever more
       than one candidate is live: the scheme tree is evaluated with
       signature-only unions and hits skip packet reconstruction. For
-      callers that only need [issued]/[rejected] — the simulator's
-      per-cycle loop. [issued] and [rejected] are identical to
-      {!select}'s. *)
+      callers that only need [issued]/[rejected]. [issued] and
+      [rejected] are identical to {!select}'s. *)
 
   val stats : t -> stats
 end

@@ -1,36 +1,27 @@
 (* The merge network as a first-class runtime object.
 
-   Historically the scheme was a construction-time parameter of the
-   simulator core: the core built one [Engine.Memo] table for it and
-   could never change its mind. This module bundles everything the
-   per-cycle issue stage needs — the scheme tree, the routing mode, the
-   priority-rotation rule and the interned-signature decision cache —
-   behind a handle that can be reconfigured mid-simulation.
+   This module bundles everything the per-cycle issue stage needs — the
+   scheme tree, the routing mode, the priority-rotation rule and the
+   scheme's batched evaluator — behind a handle that can be reconfigured
+   mid-simulation.
 
    Reconfiguration discipline:
-   - One Memo table per scheme, pooled by scheme structure: switching
-     back to a scheme it has already run re-installs its existing table,
-     so cached decisions (and their hit/flush statistics) survive the
-     excursion instead of being rebuilt from scratch.
+   - A swap builds the new scheme's [Engine.Batch]. Decisions are pure
+     functions of the loaded ports and the rotation, so a fresh
+     evaluator decides bit-identically to one that has run before.
    - Rotation state is derived, not stored: the caller passes the
      rotation each cycle (the core derives it from the cycle counter),
      so a swap re-seeds priority rotation deterministically — the
      round-robin simply continues from the switch cycle.
-   - The handle is single-domain, like the Memo tables it owns: sweep
+   - The handle is single-domain, like the evaluator it owns: sweep
      workers must each create their own network. *)
 
 type t = {
   machine : Vliw_isa.Machine.t;
   routing : Conflict.routing_mode;
-  cap : int option;
   n : int;  (* thread ports; fixed for the lifetime of the network *)
-  pool : (string, string * Engine.Memo.t * Engine.Batch.t) Hashtbl.t;
-      (* scheme structure -> (display name, its pooled Memo table, its
-         batched evaluator) *)
-  mutable pool_order : string list;  (* insertion order, newest first *)
   mutable name : string;
   mutable scheme : Scheme.t;
-  mutable memo : Engine.Memo.t;
   mutable batch : Engine.Batch.t;
   mutable reconfigurations : int;
 }
@@ -52,38 +43,17 @@ let validate_scheme scheme =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Merge_network: invalid scheme: " ^ msg)
 
-let memo_of t ~name scheme =
-  let key = Scheme.to_string scheme in
-  match Hashtbl.find_opt t.pool key with
-  | Some (_, memo, batch) -> (memo, batch)
-  | None ->
-    let memo = Engine.Memo.create ?cap:t.cap t.machine ~routing:t.routing scheme in
-    let batch = Engine.Batch.create t.machine ~routing:t.routing scheme in
-    Hashtbl.add t.pool key (name, memo, batch);
-    t.pool_order <- key :: t.pool_order;
-    (memo, batch)
-
-let create ?cap ?name machine ~routing scheme =
+let create ?name machine ~routing scheme =
   validate_scheme scheme;
-  let name = match name with Some n -> n | None -> display_name scheme in
-  let t =
-    {
-      machine;
-      routing;
-      cap;
-      n = Scheme.n_threads scheme;
-      pool = Hashtbl.create 4;
-      pool_order = [];
-      name;
-      scheme;
-      memo = Engine.Memo.create ?cap machine ~routing scheme;
-      batch = Engine.Batch.create machine ~routing scheme;
-      reconfigurations = 0;
-    }
-  in
-  Hashtbl.add t.pool (Scheme.to_string scheme) (name, t.memo, t.batch);
-  t.pool_order <- [ Scheme.to_string scheme ];
-  t
+  {
+    machine;
+    routing;
+    n = Scheme.n_threads scheme;
+    name = (match name with Some n -> n | None -> display_name scheme);
+    scheme;
+    batch = Engine.Batch.create machine ~routing scheme;
+    reconfigurations = 0;
+  }
 
 let scheme t = t.scheme
 
@@ -103,11 +73,8 @@ let reconfigure t ?name scheme =
         (Printf.sprintf
            "Merge_network.reconfigure: %d-thread scheme on a %d-port network"
            (Scheme.n_threads scheme) t.n);
-    let name = match name with Some n -> n | None -> display_name scheme in
-    let memo, batch = memo_of t ~name scheme in
-    t.memo <- memo;
-    t.batch <- batch;
-    t.name <- name;
+    t.batch <- Engine.Batch.create t.machine ~routing:t.routing scheme;
+    t.name <- (match name with Some n -> n | None -> display_name scheme);
     t.scheme <- scheme;
     t.reconfigurations <- t.reconfigurations + 1
   end
@@ -118,18 +85,4 @@ let reconfigurations t = t.reconfigurations
    trivially re-seeded across a reconfiguration. *)
 let rotation t ~rotate ~cycle = if rotate then cycle mod t.n else 0
 
-let select t ~rotation avail = Engine.Memo.select t.memo ~rotation avail
-
-let select_issue t ~rotation avail =
-  Engine.Memo.select_issue t.memo ~rotation avail
-
 let batch t = t.batch
-
-let memo_stats t = Engine.Memo.stats t.memo
-
-let pool_stats t =
-  List.rev_map
-    (fun key ->
-      let name, memo, _ = Hashtbl.find t.pool key in
-      (name, Engine.Memo.stats memo))
-    t.pool_order

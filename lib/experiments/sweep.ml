@@ -259,30 +259,20 @@ let prepare_row ?(scale = Common.Default) ?(seed = Common.default_seed)
 
 let prepared_mix pr = pr.pr_mix
 
-let simulate_prepared ?tapes pr (column : column) =
+let simulate_prepared pr (column : column) =
   let config = Vliw_sim.Config.make ~machine:pr.pr_machine column.col_scheme in
   let controller = Option.map (fun mk -> mk ()) column.col_controller in
   let metrics =
     Vliw_sim.Multitask.run_programs config ~seed:pr.pr_row_seed
-      ~schedule:pr.pr_schedule ?controller ?tapes pr.pr_programs
+      ~schedule:pr.pr_schedule ?controller pr.pr_programs
   in
   Vliw_sim.Metrics.ipc metrics
-
-(* Several scheme columns of one row in lockstep: the columns already
-   share the row seed (schemes are compared on identical workloads), so
-   they can also share the workload's stochastic draw streams through
-   one {!Vliw_sim.Tape.set} — the first column records every draw, the
-   rest replay it. Each column's IPC is bit-identical to an independent
-   [simulate_prepared] run (property-tested). *)
-let simulate_prepared_columns pr columns =
-  let tapes = Vliw_sim.Tape.create_set () in
-  List.map (simulate_prepared ~tapes pr) columns
 
 let snapshot_with extra base =
   { Counters.counters = List.sort compare (extra @ base); histograms = [] }
 
 let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
-    ?scheme_names ?columns ?mix_names ?(jobs = 1) ?(lockstep = false) ?progress
+    ?scheme_names ?columns ?mix_names ?(jobs = 1) ?progress
     ?(telemetry = false) ?(max_retries = 0) ?cell_timeout_s ?checkpoint
     ?(resume = false) ?(log = fun (_ : string) -> ()) ?on_event () =
   let emit ev = match on_event with Some f -> f ev | None -> () in
@@ -363,7 +353,7 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
      exception, or a blown per-cell timeout. The timeout is enforced
      after the fact (a domain cannot be preempted mid-simulation): the
      attempt's result is discarded and the cell retried or degraded. *)
-  let attempt_once ?tapes ~row ~col ~config ~(column : column) ~row_seed
+  let attempt_once ~row ~col ~config ~(column : column) ~row_seed
       ~programs () =
     (match !inject_failure with
     | Some f when f ~row ~col ->
@@ -373,13 +363,11 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
     let counters = if telemetry then Some (Counters.create ()) else None in
     (* A fresh controller per attempt: controllers are stateful, and a
        retried cell must replay from scratch to stay a pure function of
-       its row seed. (A shared tape is safe across retries: replayed
-       draws are position-keyed, so a fresh thread re-reads the same
-       recorded values.) *)
+       its row seed. *)
     let controller = Option.map (fun mk -> mk ()) column.col_controller in
     let metrics =
       Vliw_sim.Multitask.run_programs config ~seed:row_seed ~schedule ?counters
-        ?controller ?tapes programs
+        ?controller programs
     in
     Option.iter
       (fun c ->
@@ -393,13 +381,13 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
     | _ -> ());
     (metrics, counters, t0, elapsed)
   in
-  let simulate_cell ?tapes ~row ~col ~mix_name ~row_seed ~programs
+  let simulate_cell ~row ~col ~mix_name ~row_seed ~programs
       ~(column : column) ~worker () =
     let config = Vliw_sim.Config.make ~machine column.col_scheme in
     emit (Cell_started { mix = mix_name; scheme = column.col_name; worker });
     let rec go ~attempt ~timeouts =
       match
-        attempt_once ?tapes ~row ~col ~config ~column ~row_seed ~programs ()
+        attempt_once ~row ~col ~config ~column ~row_seed ~programs ()
       with
       | metrics, counters, t0, elapsed ->
         Option.iter
@@ -493,42 +481,21 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
       error = None;
     }
   in
-  (* Every task yields a [cell array]: one cell per task normally, one
-     whole row per task under [lockstep], where the row's columns share
-     a draw-tape set (see [simulate_prepared_columns]) — so the grid
-     parallelizes over rows instead of cells, and sibling columns reuse
-     the first column's recorded draws. Cells are bit-identical either
-     way (property-tested at jobs 1 and 4). *)
-  let cell_of ?tapes ~row ~col ~mix_name ~row_seed ~programs ~worker () =
-    let column = cols.(col) in
-    match resumed ~mix:mix_name ~scheme:column.col_name with
-    | Some record -> restore_cell ~record ~worker
-    | None ->
-      simulate_cell ?tapes ~row ~col ~mix_name ~row_seed ~programs ~column
-        ~worker ()
-  in
+  (* One task per cell; a journaled cell is restored instead of
+     simulated. *)
   let tasks =
-    if lockstep then
-      Array.of_list
-        (List.mapi
-           (fun row (mix_name, row_seed, programs) ~worker ->
-             let tapes = Vliw_sim.Tape.create_set () in
-             Array.init (Array.length cols) (fun col ->
-                 cell_of ~tapes ~row ~col ~mix_name ~row_seed ~programs ~worker
-                   ()))
-           rows)
-    else
-      Array.of_list
-        (List.concat
-           (List.mapi
-              (fun row (mix_name, row_seed, programs) ->
-                Array.to_list
-                  (Array.init (Array.length cols) (fun col ~worker ->
-                       [|
-                         cell_of ~row ~col ~mix_name ~row_seed ~programs
-                           ~worker ();
-                       |])))
-              rows))
+    Array.of_list
+      (List.concat
+         (List.mapi
+            (fun row (mix_name, row_seed, programs) ->
+              List.init (Array.length cols) (fun col ~worker ->
+                  let column = cols.(col) in
+                  match resumed ~mix:mix_name ~scheme:column.col_name with
+                  | Some record -> restore_cell ~record ~worker
+                  | None ->
+                    simulate_cell ~row ~col ~mix_name ~row_seed ~programs
+                      ~column ~worker ()))
+            rows))
   in
   let row_seed_of_mix =
     let seeds = List.map (fun (m, s, _) -> (m, s)) rows in
@@ -568,35 +535,32 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
     let completed = ref 0 in
     let elapsed_sum = ref 0.0 and timed = ref 0 in
     Some
-      (fun _i (res : (cell array, exn) result) ->
+      (fun _i (res : (cell, exn) result) ->
         match res with
-        | Error _ -> () (* repackaged as degraded cells below *)
-        | Ok task_cells ->
-          Array.iter
-            (fun cell ->
-              journal_cell cell;
-              incr completed;
-              if cell.attempts > 0 && cell.error = None then begin
-                (* Restored and degraded cells carry no useful timing;
-                   ETA calibrates on genuinely simulated cells only. *)
-                elapsed_sum := !elapsed_sum +. cell.elapsed_s;
-                incr timed
-              end;
-              (if on_event <> None then
-                 let eta_s =
-                   if !timed = 0 then Float.nan
-                   else
-                     !elapsed_sum /. float_of_int !timed
-                     *. float_of_int (total_cells - !completed)
-                     /. float_of_int effective_jobs
-                 in
-                 emit
-                   (Cell_finished
-                      { cell; completed = !completed; total = total_cells; eta_s }));
-              match progress with
-              | None -> ()
-              | Some f -> f { completed = !completed; total = total_cells; last = cell })
-            task_cells)
+        | Error _ -> () (* repackaged as a degraded cell below *)
+        | Ok cell ->
+          journal_cell cell;
+          incr completed;
+          if cell.attempts > 0 && cell.error = None then begin
+            (* Restored and degraded cells carry no useful timing;
+               ETA calibrates on genuinely simulated cells only. *)
+            elapsed_sum := !elapsed_sum +. cell.elapsed_s;
+            incr timed
+          end;
+          (if on_event <> None then
+             let eta_s =
+               if !timed = 0 then Float.nan
+               else
+                 !elapsed_sum /. float_of_int !timed
+                 *. float_of_int (total_cells - !completed)
+                 /. float_of_int effective_jobs
+             in
+             emit
+               (Cell_finished
+                  { cell; completed = !completed; total = total_cells; eta_s }));
+          match progress with
+          | None -> ()
+          | Some f -> f { completed = !completed; total = total_cells; last = cell })
   in
   emit
     (Sweep_started
@@ -624,21 +588,13 @@ let run_cells ?(scale = Common.Default) ?(seed = Common.default_seed)
     }
   in
   let cells =
-    Array.concat
-      (Array.to_list
-         (Array.mapi
-            (fun idx -> function
-              | Ok task_cells -> task_cells
-              | Error e ->
-                if lockstep then begin
-                  let mix_name, _, _ = List.nth rows idx in
-                  Array.map (fun column -> degraded_cell ~mix_name ~column e) cols
-                end
-                else begin
-                  let mix_name, _, _ = List.nth rows (idx / n_schemes) in
-                  [| degraded_cell ~mix_name ~column:cols.(idx mod n_schemes) e |]
-                end)
-            results))
+    Array.mapi
+      (fun idx -> function
+        | Ok cell -> cell
+        | Error e ->
+          let mix_name, _, _ = List.nth rows (idx / n_schemes) in
+          degraded_cell ~mix_name ~column:cols.(idx mod n_schemes) e)
+      results
   in
   emit
     (Sweep_finished
@@ -660,10 +616,10 @@ let grid_of_cells ~scheme_names ~mix_names cells =
   in
   Common.make_grid ~scheme_names ~mix_names ~ipc
 
-let run ?scale ?seed ?scheme_names ?mix_names ?jobs ?lockstep ?progress
+let run ?scale ?seed ?scheme_names ?mix_names ?jobs ?progress
     ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event () =
   let scheme_names, mix_names, cells =
-    run_cells ?scale ?seed ?scheme_names ?mix_names ?jobs ?lockstep ?progress
+    run_cells ?scale ?seed ?scheme_names ?mix_names ?jobs ?progress
       ?max_retries ?cell_timeout_s ?checkpoint ?resume ?log ?on_event ()
   in
   grid_of_cells ~scheme_names ~mix_names cells

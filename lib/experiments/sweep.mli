@@ -159,20 +159,11 @@ val prepare_row :
 
 val prepared_mix : prepared_row -> string
 
-val simulate_prepared : ?tapes:Vliw_sim.Tape.set -> prepared_row -> column -> float
+val simulate_prepared : prepared_row -> column -> float
 (** IPC of one (row, column) cell — bit-identical to the cell
     {!run_cells} produces for the same (scale, seed, mix, column)
     (property-tested). No telemetry, no events, no retries: the caller
-    owns fault handling. Safe to call from a {!Vliw_util.Pool} worker.
-    [tapes] shares the row's stochastic draw streams with other
-    simulations of the same row (see {!Vliw_sim.Tape}); results are
-    bit-identical with or without it. *)
-
-val simulate_prepared_columns : prepared_row -> column list -> float list
-(** Several scheme columns of one row in lockstep: all columns replay
-    one shared draw-tape set, so the workload's stochastic streams are
-    generated once and reused. Each IPC is bit-identical to an
-    independent {!simulate_prepared} call (property-tested). *)
+    owns fault handling. Safe to call from a {!Vliw_util.Pool} worker. *)
 
 val run :
   ?scale:Common.scale ->
@@ -180,7 +171,6 @@ val run :
   ?scheme_names:string list ->
   ?mix_names:string list ->
   ?jobs:int ->
-  ?lockstep:bool ->
   ?progress:(progress -> unit) ->
   ?max_retries:int ->
   ?cell_timeout_s:float ->
@@ -202,7 +192,6 @@ val run_cells :
   ?columns:column list ->
   ?mix_names:string list ->
   ?jobs:int ->
-  ?lockstep:bool ->
   ?progress:(progress -> unit) ->
   ?telemetry:bool ->
   ?max_retries:int ->
@@ -218,14 +207,8 @@ val run_cells :
     names. [telemetry] (default [false]) attaches a fresh counter
     registry to each cell's simulation and snapshots it into
     {!cell.telemetry}; counting is observation-only, so IPC results are
-    unchanged.
-
-    [lockstep] (default [false]) runs each mix row as one pool task
-    whose scheme columns share a draw-tape set
-    ({!simulate_prepared_columns}): the row's stochastic streams are
-    generated once and replayed by every sibling column. Parallelism is
-    then over rows rather than cells; results are bit-identical to the
-    independent mode at any [jobs] (property-tested).
+    unchanged. Every cell is one pool task, so parallelism is over
+    cells.
 
     [columns] generalizes [scheme_names] (the two are mutually
     exclusive): each {!column} names one grid column, carrying its

@@ -1,12 +1,23 @@
 (** The multithreaded clustered-VLIW core: the per-cycle pipeline loop.
 
-    Each cycle: every resident, non-stalled thread offers its next VLIW
-    instruction (fetching through the ICache the first time); the merge
-    engine evaluates the scheme and selects the packet to issue; issued
-    threads retire their instruction — data accesses go through the
-    DCache (a miss blocks the thread for the miss penalty), a taken
-    block-ending branch redirects the thread and pays the squash penalty.
-    Thread-to-port priority rotates round-robin when configured. *)
+    Each cycle runs one step, whatever the policy and whatever is
+    observing it:
+    - {b fetch}: every resident, non-stalled thread offers its next VLIW
+      instruction (fetching through the ICache the first time); the
+      offers form the cycle's live-thread bitmask.
+    - {b select}: under {!Policy.Merged} the scheme's batched evaluator
+      ({!Vliw_merge.Engine.Batch}) decides which threads merge and
+      issue; {!Policy.Imt} and {!Policy.Bmt} issue one live thread.
+    - {b retire}: issued threads retire their instruction in ascending
+      thread order — data accesses go through the DCache (a miss blocks
+      the thread for the miss penalty), a taken block-ending branch
+      redirects the thread and pays the squash penalty.
+    - {b observe}: telemetry events, stall attribution and the reject
+      tallies are read off the cycle's issued and rejected bitmasks.
+
+    Thread-to-port priority rotates round-robin when configured. With
+    telemetry off and no counters attached, a warm step allocates
+    nothing. *)
 
 type t
 
@@ -33,7 +44,8 @@ val install : t -> Thread_state.t option array -> unit
     must equal {!Config.contexts}. *)
 
 val step : t -> unit
-(** Advance one cycle. *)
+(** Advance one cycle. Observers ({!create}'s [telemetry] and
+    [counters]) see exactly the decisions an unobserved step makes. *)
 
 type cycle_record = {
   cycle : int;
@@ -44,8 +56,11 @@ type cycle_record = {
 }
 
 val step_record : t -> cycle_record
-(** Like {!step} but reports what happened — used by the trace
-    inspector. *)
+(** {!step} plus packet construction: wraps each candidate as a
+    {!Vliw_merge.Packet.t} and rebuilds the merged packet (the union, in
+    the evaluator's union order, of the issued candidates). The
+    decision, retirement and observation are {!step}'s own. Used by the
+    trace inspector. *)
 
 val cycle : t -> int
 
@@ -57,11 +72,6 @@ val issue_hist : t -> int array
 
 val vertical_waste_cycles : t -> int
 
-val memo_stats : t -> Vliw_merge.Engine.Memo.stats option
-(** Decision-cache statistics of the currently installed scheme; [None]
-    unless the policy is {!Policy.Merged} (IMT/BMT never consult the
-    merge engine). *)
-
 val network : t -> Vliw_merge.Merge_network.t option
 (** The swappable merge network; [Some] iff the policy is
     {!Policy.Merged}. *)
@@ -69,11 +79,6 @@ val network : t -> Vliw_merge.Merge_network.t option
 val scheme_name : t -> string option
 (** Display name of the currently installed scheme ([None] for
     IMT/BMT). *)
-
-val pool_stats : t -> (string * Vliw_merge.Engine.Memo.stats) list
-(** Per-scheme decision-cache statistics of every pooled Memo table the
-    network has used (see {!Vliw_merge.Merge_network.pool_stats});
-    empty for IMT/BMT. *)
 
 val switch_scheme : t -> ?name:string -> penalty:int -> Vliw_merge.Scheme.t -> unit
 (** Reconfigure the merge network to a different scheme, charging
@@ -102,6 +107,7 @@ val reject_counts : t -> int * int
 val metrics :
   t -> all_threads:Thread_state.t array -> Metrics.t
 (** Snapshot including memory-system statistics and per-thread
-    counters. Also flushes decision-cache statistics into the [counters]
-    registry given at {!create} (idempotently), under
-    [merge.memo.*]. *)
+    counters. Also flushes the reconfiguration counters
+    ({!Vliw_telemetry.Report.n_scheme_switches},
+    {!Vliw_telemetry.Report.n_switch_stall}) into the [counters]
+    registry given at {!create} (idempotently). *)

@@ -24,7 +24,7 @@ let resident_set rng n_contexts threads =
   end
 
 let run_programs config ?(perfect_mem = false) ?(seed = 0x5EEDL)
-    ?(schedule = default_schedule) ?telemetry ?counters ?controller ?tapes
+    ?(schedule = default_schedule) ?telemetry ?counters ?controller
     programs =
   let rng = Rng.create seed in
   let os_rng = Rng.split rng in
@@ -35,12 +35,6 @@ let run_programs config ?(perfect_mem = false) ?(seed = 0x5EEDL)
            Thread_state.create ~id ~seed:(Rng.next_int64 rng) program)
          programs)
   in
-  (* Tapes are attached after creation, so the seed-derivation chain
-     above is untouched: a taped run replays exactly the draws an
-     untaped run would make (bit-equality is property-tested). *)
-  (match tapes with
-  | None -> ()
-  | Some set -> Array.iter (Thread_state.attach_tape set) threads);
   let mem = Vliw_mem.Mem_system.create ~perfect:perfect_mem config.Config.machine in
   let core = Core.create ?telemetry ?counters config mem in
   let n_contexts = Config.contexts config in
@@ -144,7 +138,7 @@ let run_programs config ?(perfect_mem = false) ?(seed = 0x5EEDL)
   metrics
 
 let run config ?perfect_mem ?(seed = 0x5EEDL) ?schedule ?mode ?telemetry
-    ?counters ?controller ?tapes profiles =
+    ?counters ?controller profiles =
   let rng = Rng.create (Int64.add seed 0x9E37L) in
   let programs =
     List.map
@@ -154,4 +148,4 @@ let run config ?perfect_mem ?(seed = 0x5EEDL) ?schedule ?mode ?telemetry
       profiles
   in
   run_programs config ?perfect_mem ~seed ?schedule ?telemetry ?counters
-    ?controller ?tapes programs
+    ?controller programs

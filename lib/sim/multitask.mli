@@ -33,7 +33,6 @@ val run :
   ?telemetry:Vliw_telemetry.Sink.t ->
   ?counters:Vliw_telemetry.Counters.t ->
   ?controller:Controller.t ->
-  ?tapes:Tape.set ->
   Vliw_compiler.Profile.t list ->
   Metrics.t
 (** [run config profiles] builds one program and one thread per profile
@@ -51,13 +50,7 @@ val run :
     answers with a different scheme. Controllers are stateful: pass a
     fresh one per simulation. A {!Controller.Static} controller never
     switches, so results are bit-identical to omitting [controller]
-    (property-tested).
-
-    [tapes] routes every thread's stochastic draws through a shared
-    {!Tape.set} (attached after thread creation, so seed derivation is
-    unchanged): runs that differ only in scheme replay identical
-    workload draws and share the generation work. A taped run is
-    bit-identical to an untaped one (property-tested). *)
+    (property-tested). *)
 
 val run_programs :
   Config.t ->
@@ -67,7 +60,6 @@ val run_programs :
   ?telemetry:Vliw_telemetry.Sink.t ->
   ?counters:Vliw_telemetry.Counters.t ->
   ?controller:Controller.t ->
-  ?tapes:Tape.set ->
   Vliw_compiler.Program.t list ->
   Metrics.t
 (** Like {!run} but with pre-generated programs, so the (deterministic but

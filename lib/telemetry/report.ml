@@ -40,19 +40,6 @@ let n_h_capacity = "waste.horizontal.merge_capacity"
 let n_h_priority = "waste.horizontal.merge_priority"
 let n_h_ilp = "waste.horizontal.ilp"
 
-(* Merge-engine decision cache (Vliw_merge.Engine.Memo), flushed by the
-   core at metrics time. Not waste categories: they describe simulator
-   throughput, not machine behaviour. *)
-let n_memo_hits = "merge.memo.hits"
-let n_memo_misses = "merge.memo.misses"
-let n_memo_flushes = "merge.memo.flushes"
-
-(* Per-scheme decision-cache statistics, one counter triple per scheme
-   the core's merge network has run (pooled tables survive scheme
-   switches). Suffix-parsed by [render] into the per-scheme table. *)
-let n_memo_scheme_prefix = "merge.memo.scheme."
-let n_memo_scheme name suffix = n_memo_scheme_prefix ^ name ^ "." ^ suffix
-
 (* Adaptive merge-network reconfiguration. [core.switch_bubble_cycles]
    is bumped by the attribution pass exactly when a whole-width cycle is
    booked to [waste.vertical.bmt_switch], so the conservation law
@@ -71,8 +58,8 @@ let n_controller_decisions name = n_controller_prefix ^ name
 let n_controller_switches = "controller.switches"
 
 (* Sweep fault tolerance (Vliw_experiments.Sweep), bumped once per cell
-   attempt outcome. Like the memo counters these describe harness
-   behaviour, not machine behaviour, and stay out of the waste sum. *)
+   attempt outcome. These describe harness behaviour, not machine
+   behaviour, and stay out of the waste sum. *)
 let n_sweep_retries = "sweep.retries"
 let n_sweep_degraded = "sweep.degraded"
 let n_sweep_timeouts = "sweep.timeouts"
@@ -109,54 +96,6 @@ let categories =
     (n_h_ilp, "horizontal: insufficient ILP");
   ]
 
-(* Recover the per-scheme decision-cache triples from a snapshot.
-   Parsed back-to-front (strip the known suffix, then the prefix) so
-   scheme names containing dots — structural renderings of anonymous
-   schemes — survive the round-trip. *)
-let memo_scheme_stats (s : Counters.snapshot) =
-  let strip_suffix name suffix =
-    let nl = String.length name and sl = String.length suffix in
-    if nl > sl && String.sub name (nl - sl) sl = suffix then
-      Some (String.sub name 0 (nl - sl))
-    else None
-  in
-  let pl = String.length n_memo_scheme_prefix in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (name, v) ->
-      if
-        String.length name > pl
-        && String.sub name 0 pl = n_memo_scheme_prefix
-      then begin
-        let rest = String.sub name pl (String.length name - pl) in
-        let record scheme field =
-          let h, m, e =
-            match Hashtbl.find_opt tbl scheme with
-            | Some t -> t
-            | None -> (0, 0, 0)
-          in
-          let t =
-            match field with
-            | `Hits -> (h + v, m, e)
-            | `Misses -> (h, m + v, e)
-            | `Flushes -> (h, m, e + v)
-          in
-          Hashtbl.replace tbl scheme t
-        in
-        match strip_suffix rest ".hits" with
-        | Some scheme -> record scheme `Hits
-        | None -> (
-          match strip_suffix rest ".misses" with
-          | Some scheme -> record scheme `Misses
-          | None -> (
-            match strip_suffix rest ".flushes" with
-            | Some scheme -> record scheme `Flushes
-            | None -> ()))
-      end)
-    s.Counters.counters;
-  Hashtbl.fold (fun scheme (h, m, e) acc -> (scheme, h, m, e) :: acc) tbl []
-  |> List.sort compare
-
 let wasted s = Counters.count s n_offered - Counters.count s n_filled
 
 let attributed s =
@@ -186,32 +125,6 @@ let render s =
       pct_of offered waste;
     ];
   let drift = waste - attributed s in
-  let memo =
-    let hits = Counters.count s n_memo_hits in
-    let lookups = hits + Counters.count s n_memo_misses in
-    if lookups = 0 then ""
-    else
-      Printf.sprintf
-        "Merge decision cache: %d/%d lookups hit (%s), %d flushes\n" hits
-        lookups
-        (pct_of lookups hits)
-        (Counters.count s n_memo_flushes)
-  in
-  let memo_by_scheme =
-    match memo_scheme_stats s with
-    | [] | [ _ ] -> "" (* the aggregate line already covers one scheme *)
-    | per_scheme ->
-      let t =
-        Vliw_util.Text_table.create
-          ~header:[ "Scheme"; "Hits"; "Misses"; "Flushes" ]
-      in
-      List.iter
-        (fun (scheme, h, m, e) ->
-          Vliw_util.Text_table.add_row t
-            [ scheme; string_of_int h; string_of_int m; string_of_int e ])
-        per_scheme;
-      "Decision cache by scheme:\n" ^ Vliw_util.Text_table.render t
-  in
   let switches =
     let n = Counters.count s n_scheme_switches in
     if n = 0 then ""
@@ -228,4 +141,4 @@ let render s =
   ^ Vliw_util.Text_table.render table
   ^ (if drift = 0 then ""
      else Printf.sprintf "WARNING: %d wasted slots unattributed\n" drift)
-  ^ memo ^ memo_by_scheme ^ switches
+  ^ switches

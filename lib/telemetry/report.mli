@@ -43,31 +43,6 @@ val n_v_switch : string
     ([waste.vertical.bmt_switch]): whole-width cycles lost to BMT
     context-switch bubbles and merge-network reconfigurations. *)
 
-val n_memo_hits : string
-(** Counter name for merge decision-cache hits
-    ([merge.memo.hits]). Flushed by the simulator core at metrics time;
-    describes simulator throughput, not machine behaviour. *)
-
-val n_memo_misses : string
-
-val n_memo_flushes : string
-(** Whole-table flushes on reaching the capacity bound
-    ([merge.memo.flushes]). Hit/miss tallies are cumulative across
-    flushes: a flush drops cached entries, never counters. *)
-
-val n_memo_scheme_prefix : string
-(** Prefix of the per-scheme decision-cache counters
-    ([merge.memo.scheme.<name>.hits|misses|flushes]); one triple per
-    scheme the core's merge network has run. *)
-
-val n_memo_scheme : string -> string -> string
-(** [n_memo_scheme name suffix] is the per-scheme counter name, e.g.
-    [n_memo_scheme "2SC3" "hits" = "merge.memo.scheme.2SC3.hits"]. *)
-
-val memo_scheme_stats : Counters.snapshot -> (string * int * int * int) list
-(** Per-scheme decision-cache statistics recovered from a snapshot:
-    [(scheme, hits, misses, flushes)], name-sorted. *)
-
 val n_switch_bubbles : string
 (** Counter name behind [handles.switch_bubbles]
     ([core.switch_bubble_cycles]). *)

@@ -175,6 +175,60 @@ let test_runs_and_report_flow () =
   Alcotest.(check string) "empty listing keeps stdout clean" ""
     (read_file out)
 
+(* --- ledger records written before the decision cache was retired ----- *)
+
+(* A record as the simulator wrote it while the merge engine still kept
+   per-scheme decision caches: its counters carry the aggregate
+   [merge.memo.*] triple and one [merge.memo.scheme.<name>.*] triple per
+   scheme run. Nothing books those names any more, but old ledgers keep
+   them, and every reader must still accept such a record. *)
+let memo_era_record =
+  {|{"schema":1,"id":"r1","time_s":1792226800.7721951,"cmd":"run","label":"2SC3 on LLHH","git":"unknown","fp":"7d6379a1e4b71a79","scale":"quick","seed":"0xc5eed","jobs":1,"schemes":["2SC3"],"mixes":["LLHH"],"wall_s":0.049757957458496094,"digest":"e0fcb863f7d40b64","cells":[{"mix":"LLHH","scheme":"2SC3","ipc":4.4846857142857139,"bits":"0x4011f05173aec83c","t":0.049757957458496094,"at":0,"w":0,"n":1}],"counters":{"core.cycles":40000,"core.switch_bubble_cycles":8,"events.issue":39000,"merge.memo.flushes":1,"merge.memo.hits":12000,"merge.memo.misses":25000,"merge.memo.scheme.2SC3.flushes":1,"merge.memo.scheme.2SC3.hits":9000,"merge.memo.scheme.2SC3.misses":20000,"merge.memo.scheme.3SSS.flushes":0,"merge.memo.scheme.3SSS.hits":3000,"merge.memo.scheme.3SSS.misses":5000,"sim.scheme_switches":1,"sim.switch_stall_cycles":8,"slots.filled":180000,"slots.offered":640000,"waste.horizontal.ilp":299872,"waste.horizontal.merge_capacity":30000,"waste.horizontal.merge_conflict":70000,"waste.horizontal.merge_priority":0,"waste.vertical.bmt_switch":128,"waste.vertical.branch_stall":2000,"waste.vertical.fetch_stall":40000,"waste.vertical.idle":0,"waste.vertical.mem_stall":18000},"gauges":{"ipc":4.4846857142857139},"retries":0,"degraded":0,"timeouts":0,"resumed":0}
+|}
+
+let test_memo_era_record () =
+  let dir = Filename.temp_file "vliwcli" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let runs_dir = Filename.concat dir "runs" in
+  Sys.mkdir runs_dir 0o755;
+  Out_channel.with_open_bin
+    (Vliw_telemetry.Ledger.ledger_path ~dir:runs_dir)
+    (fun oc -> output_string oc memo_era_record);
+  let run =
+    match Vliw_telemetry.Ledger.load ~dir:runs_dir with
+    | [ run ] -> run
+    | runs -> Alcotest.failf "expected one record, loaded %d" (List.length runs)
+  in
+  Alcotest.(check (option int)) "memo counters survive the load" (Some 12000)
+    (List.assoc_opt "merge.memo.hits" run.counters);
+  let out = Filename.concat dir "out.txt"
+  and err = Filename.concat dir "err.txt" in
+  let cli args =
+    Sys.command
+      (Printf.sprintf "%s %s --runs-dir %s >%s 2>%s" vliwsim args runs_dir out
+         err)
+  in
+  Alcotest.(check int) "runs show" 0 (cli "runs show r1");
+  let prom = Filename.concat dir "metrics.prom" in
+  Alcotest.(check int) "runs export-metrics" 0
+    (cli (Printf.sprintf "runs export-metrics r1 -o %s" prom));
+  Alcotest.(check int) "lint accepts the exposition" 0
+    (Sys.command (Printf.sprintf "%s runs lint %s >/dev/null 2>&1" vliwsim prom));
+  Alcotest.(check int) "report" 0
+    (cli (Printf.sprintf "report --run r1 -o %s" (Filename.concat dir "r.html")));
+  (* The profile-style rendering reads the record's counters. *)
+  let text =
+    Vliw_telemetry.Report.render
+      { Vliw_telemetry.Counters.counters = run.counters; histograms = [] }
+  in
+  Alcotest.(check bool) "attribution rendered" true
+    (contains ~needle:"Stall attribution over 40000 cycles" text);
+  Alcotest.(check bool) "every wasted slot attributed" false
+    (contains ~needle:"unattributed" text);
+  Alcotest.(check bool) "no decision-cache lines" false
+    (contains ~needle:"ecision cache" text)
+
 (* --log-json flag plumbing: accepted under -q, the stream file is
    created even when the experiment emits no sweep events. The stream's
    content is covered at the library level (test_observability) and the
@@ -196,5 +250,7 @@ let suite =
     [
       Alcotest.test_case "exit code contract" `Quick test_exit_codes;
       Alcotest.test_case "runs and report flow" `Quick test_runs_and_report_flow;
+      Alcotest.test_case "ledger record with memo counters" `Quick
+        test_memo_era_record;
       Alcotest.test_case "--log-json event stream" `Quick test_log_json_stream;
     ] )

@@ -235,6 +235,24 @@ let test_protocol_roundtrip =
       in
       to_worker_eq tw tw' && from_worker_eq fw fw')
 
+(* Robustness: a worker or coordinator reading arbitrary bytes off its
+   peer's socket gets an error, never an exception, from either decoder
+   behind [Json.parse]. *)
+let protocol_robustness =
+  let line decode text =
+    match J.parse text with Error e -> Error e | Ok json -> decode json
+  in
+  Tgen.decoder_robustness ~name:"protocol: to_worker_of_json"
+    ~decode:(line Protocol.to_worker_of_json)
+    (QCheck.Gen.map
+       (fun m -> J.to_string (Protocol.to_worker_to_json m))
+       to_worker_gen)
+  @ Tgen.decoder_robustness ~name:"protocol: from_worker_of_json"
+      ~decode:(line Protocol.from_worker_of_json)
+      (QCheck.Gen.map
+         (fun m -> J.to_string (Protocol.from_worker_to_json m))
+         from_worker_gen)
+
 let test_protocol_rejects () =
   let reject label json decode =
     match decode json with
@@ -774,6 +792,9 @@ let suite =
       QCheck_alcotest.to_alcotest test_protocol_roundtrip;
       Alcotest.test_case "protocol: malformed rejected" `Quick
         test_protocol_rejects;
+    ]
+    @ List.map QCheck_alcotest.to_alcotest protocol_robustness
+    @ [
       Alcotest.test_case "worker: serves a shard bit-exactly" `Quick
         test_worker_serve;
       Alcotest.test_case "worker: bad cells error, loop survives" `Quick

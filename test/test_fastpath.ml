@@ -391,15 +391,13 @@ let test_no_routing_per_cycle () =
 
 (* --- zero-allocation steady state ----------------------------------- *)
 
-(* The batched fast path (merged policy, telemetry off, no counters)
-   must not touch the minor heap once warm: the measured minor-word
+(* The step with telemetry off and no counters must not touch the minor
+   heap once warm, whatever the issue policy: the measured minor-word
    delta over N steps must equal the delta of the measurement harness
    alone (0 steps). Warmup covers cold-start work — signature interning
    is already done at Program.generate time, but cache tags, predictor
    counters and the Batch lanes deserve settling. *)
-let test_zero_alloc_steady_state () =
-  let entry = M.Catalog.find_exn "2SC3" in
-  let config = Vliw_sim.Config.make entry.scheme in
+let check_zero_alloc label config =
   let mix = Vliw_workloads.Mixes.find_exn "LLHH" in
   let rng = Vliw_util.Rng.create 7L in
   let programs =
@@ -439,9 +437,20 @@ let test_zero_alloc_steady_state () =
   let with_steps = delta 10_000 in
   if with_steps <> harness_only then
     Alcotest.failf
-      "steady state allocated %.0f minor words over 10k cycles (harness \
+      "%s: steady state allocated %.0f minor words over 10k cycles (harness \
        baseline %.0f)"
+      label
       (with_steps -. harness_only) harness_only
+
+let test_zero_alloc_steady_state () =
+  let scheme = (M.Catalog.find_exn "2SC3").scheme in
+  check_zero_alloc "merged 2SC3" (Vliw_sim.Config.make scheme);
+  check_zero_alloc "imt"
+    (Vliw_sim.Config.make ~policy:Vliw_sim.Policy.Imt scheme);
+  check_zero_alloc "bmt"
+    (Vliw_sim.Config.make
+       ~policy:(Vliw_sim.Policy.Bmt { switch_penalty = 3 })
+       scheme)
 
 let suite =
   ( "fastpath",

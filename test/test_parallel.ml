@@ -73,39 +73,6 @@ let test_sweep_jobs_deterministic =
       in
       grid_equal (run 1) (run 4))
 
-(* Lockstep mode (scheme columns of a row sharing one draw-tape set)
-   is an execution strategy, not a model change: it must reproduce the
-   independent-mode grid bit-for-bit at any jobs count. *)
-let test_sweep_lockstep_deterministic =
-  QCheck.Test.make ~count:4
-    ~name:"sweep: lockstep equals independent at jobs 1 and 4"
-    QCheck.(triple (int_bound 1000) (int_bound 3) (int_bound 3))
-    (fun (seed, si, mi) ->
-      let run ~jobs ~lockstep =
-        E.Sweep.run ~scale:E.Common.Quick ~seed:(Int64.of_int seed)
-          ~scheme_names:scheme_subsets.(si) ~mix_names:mix_subsets.(mi) ~jobs
-          ~lockstep ()
-      in
-      let independent = run ~jobs:1 ~lockstep:false in
-      grid_equal independent (run ~jobs:1 ~lockstep:true)
-      && grid_equal independent (run ~jobs:4 ~lockstep:true))
-
-let test_prepared_columns_lockstep () =
-  let pr = E.Sweep.prepare_row ~scale:E.Common.Quick ~seed:99L "LLHH" in
-  let columns =
-    List.map
-      (fun name -> E.Sweep.static_column (Vliw_merge.Catalog.find_exn name))
-      [ "1S"; "3CCC"; "3SSS"; "2SC3" ]
-  in
-  let independent = List.map (E.Sweep.simulate_prepared pr) columns in
-  let lockstep = E.Sweep.simulate_prepared_columns pr columns in
-  List.iter2
-    (fun a b ->
-      Alcotest.(check bool)
-        (Printf.sprintf "bit-identical ipc (%h vs %h)" a b)
-        true (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)))
-    independent lockstep
-
 let test_sweep_progress_and_timing () =
   let events = ref [] in
   let grid =
@@ -266,9 +233,6 @@ let suite =
       Alcotest.test_case "pool propagates exceptions" `Quick test_pool_exception;
       Alcotest.test_case "pool on_result" `Quick test_pool_on_result_serialized;
       QCheck_alcotest.to_alcotest test_sweep_jobs_deterministic;
-      QCheck_alcotest.to_alcotest test_sweep_lockstep_deterministic;
-      Alcotest.test_case "prepared columns lockstep" `Quick
-        test_prepared_columns_lockstep;
       Alcotest.test_case "sweep progress + timing" `Quick
         test_sweep_progress_and_timing;
       Alcotest.test_case "sweep row seeds" `Quick test_sweep_row_seed_stable;

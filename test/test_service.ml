@@ -104,9 +104,9 @@ let test_request_defaults () =
       ({|{"op":"submit","mixes":[1]}|}, "non-string mix entry");
     ]
 
-(* Round-trip property: any request encodes to JSON and decodes back to
-   itself. Strings are arbitrary bytes — the JSON layer owns escaping. *)
-let test_request_roundtrip =
+(* Any request; strings are arbitrary bytes — the JSON layer owns
+   escaping. *)
+let request_gen =
   let gen_submit =
     QCheck.Gen.(
       let* tag = string_size (int_bound 12) in
@@ -132,12 +132,26 @@ let test_request_roundtrip =
           (1, oneofl [ Request.Ping; Request.Stats; Request.Metrics; Request.Shutdown ]);
         ])
   in
-  let arb = QCheck.make ~print:(fun r -> J.to_string (Request.to_json r)) gen in
+  gen
+
+(* Round-trip property: any request encodes to JSON and decodes back to
+   itself. *)
+let test_request_roundtrip =
+  let arb =
+    QCheck.make ~print:(fun r -> J.to_string (Request.to_json r)) request_gen
+  in
   QCheck.Test.make ~count:200 ~name:"service: request <-> JSON round-trip" arb
     (fun req ->
       match Request.of_line (J.to_string (Request.to_json req)) with
       | Ok req' -> req' = req
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg)
+
+(* Robustness: arbitrary bytes on the request socket get an error
+   reply, never an exception. *)
+let request_robustness =
+  Tgen.decoder_robustness ~name:"service: Request.of_line"
+    ~decode:Request.of_line
+    (QCheck.Gen.map (fun r -> J.to_string (Request.to_json r)) request_gen)
 
 (* --- scheduler --------------------------------------------------------- *)
 
@@ -798,6 +812,9 @@ let suite =
       Alcotest.test_case "ndjson: truncated stream" `Quick test_ndjson_truncated;
       Alcotest.test_case "request: defaults and rejects" `Quick test_request_defaults;
       QCheck_alcotest.to_alcotest test_request_roundtrip;
+    ]
+    @ List.map QCheck_alcotest.to_alcotest request_robustness
+    @ [
       Alcotest.test_case "scheduler: priority + FIFO" `Quick test_scheduler_priority_fifo;
       Alcotest.test_case "scheduler: backfilling" `Quick test_scheduler_backfill;
       Alcotest.test_case "scheduler: edge cases" `Quick test_scheduler_edges;

@@ -97,3 +97,59 @@ let scheme_gen n =
 let scheme_arb n = Q.make ~print:Vliw_merge.Scheme.to_string (scheme_gen n)
 
 let to_alcotest = QCheck_alcotest.to_alcotest
+
+(* --- decoder robustness ------------------------------------------------ *)
+
+(* Byte-level corruption of a well-formed encoding: replace, delete or
+   insert one byte (any of the 256), one to three times. *)
+let mutated gen =
+  let open Q.Gen in
+  let edit text =
+    let n = String.length text in
+    if n = 0 then map (String.make 1) char
+    else
+      int_bound (n - 1) >>= fun i ->
+      char >>= fun c ->
+      oneofl
+        [
+          String.mapi (fun j x -> if j = i then c else x) text;
+          String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1);
+          String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i);
+        ]
+  in
+  let rec edits k text = if k = 0 then return text else edit text >>= edits (k - 1) in
+  gen >>= fun text -> int_range 1 3 >>= fun k -> edits k text
+
+(* A strict prefix of a well-formed encoding (possibly empty). *)
+let truncated gen =
+  let open Q.Gen in
+  gen >>= fun text ->
+  map (fun i -> String.sub text 0 i) (int_bound (max 0 (String.length text - 1)))
+
+(* Arbitrary bytes, short and long. *)
+let random_bytes = Q.Gen.(string_size ~gen:char (0 -- 200))
+
+(* The three robustness properties of one line decoder over encodings
+   drawn from [gen]: on a mutated line it answers [Ok] or [Error]; on a
+   truncated line or random bytes it answers [Error]; it never raises. *)
+let decoder_robustness ~name ~decode gen =
+  let run ~label ~must_fail input =
+    let test line =
+      match decode line with
+      | Ok _ when must_fail ->
+        Q.Test.fail_reportf "%s: accepted %S" label line
+      | Ok _ | Error _ -> true
+      | exception e ->
+        Q.Test.fail_reportf "%s: raised %s on %S" label (Printexc.to_string e)
+          line
+    in
+    Q.Test.make ~count:500
+      ~name:(Printf.sprintf "%s: %s" name label)
+      (Q.make ~print:(Printf.sprintf "%S") input)
+      test
+  in
+  [
+    run ~label:"mutated bytes never raise" ~must_fail:false (mutated gen);
+    run ~label:"truncation is an error" ~must_fail:true (truncated gen);
+    run ~label:"random bytes are an error" ~must_fail:true random_bytes;
+  ]
