@@ -1,9 +1,10 @@
-(* Reference oracle for [Vliw_util.Json.parse]: the recursive-descent
-   parser as it stood before the library's cursor was rewritten for
-   speed (an [option]-returning [peek], a [Buffer] for every string
-   literal). It is kept verbatim as the executable specification the
-   differential property tests compare against — values, [Error]
-   messages and offsets included. Do not optimise it. *)
+(* Reference oracles for [Vliw_util.Json]. First, [parse]: the
+   recursive-descent parser as it stood before the library's cursor was
+   rewritten for speed (an [option]-returning [peek], a [Buffer] for
+   every string literal). It is kept verbatim as the executable
+   specification the differential property tests compare against —
+   values, [Error] messages and offsets included. Do not optimise it.
+   The serializer's oracle follows at the end of the file. *)
 
 type t = Vliw_util.Json.t =
   | Null
@@ -184,3 +185,69 @@ let parse text =
       Error (Printf.sprintf "trailing garbage at offset %d" c.pos)
     else Ok v
   | exception Parse_error msg -> Error msg
+
+(* --- serializer oracle ------------------------------------------------- *)
+
+(* The serializer as it stood before the direct writer: a [Buffer] and
+   a [Buffer.contents] copy per string, [Printf] for every number, and
+   [List.iteri] closures. Kept verbatim as the executable specification
+   of the bytes [Vliw_util.Json.to_string] emits — the ledger, the wire
+   protocol and the OpenMetrics values all depend on them. Do not
+   optimise it. *)
+
+let escape_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let number_string v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else begin
+    let short = Printf.sprintf "%.12g" v in
+    if float_of_string short = v then short else Printf.sprintf "%.17g" v
+  end
+
+let rec write buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num v ->
+    if Float.is_nan v || Float.abs v = infinity then
+      Buffer.add_string buf "null"
+    else Buffer.add_string buf (number_string v)
+  | Str s -> Buffer.add_string buf (escape_string s)
+  | List items ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i item ->
+        if i > 0 then Buffer.add_char buf ',';
+        write buf item)
+      items;
+    Buffer.add_char buf ']'
+  | Obj fields ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf (escape_string k);
+        Buffer.add_char buf ':';
+        write buf v)
+      fields;
+    Buffer.add_char buf '}'
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  write buf v;
+  Buffer.contents buf

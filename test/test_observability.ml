@@ -224,6 +224,108 @@ let test_json_oracle_bytes =
       oneof
         [ string_size ~gen:json_byte (0 -- 40); string_size ~gen:char (0 -- 40) ])
 
+(* --- Json serializer against its reference oracle ------------------------ *)
+
+(* [Json_oracle.to_string] is the serializer as it was before the
+   direct writer. The library must emit exactly its bytes: ledger
+   lines, wire replies and OpenMetrics values are compared and digested
+   as text. *)
+
+(* Numbers at the serializer's seams: signed zeros, integral values on
+   both sides of the 1e15 cut-off, subnormals, the extremes, the
+   non-finite values that become [null], and decimals whose %.12g image
+   does or does not round-trip. *)
+let edge_floats =
+  [
+    0.0; -0.0; 1.0; -1.0; 0.5; -0.5; 0.1; 1.0 /. 3.0; 2.003325;
+    999_999_999_999_999.0; -999_999_999_999_999.0; 1e15; -1e15;
+    1e15 +. 1.0; 1e15 -. 0.5; 999_999_999_999_999.5; 4503599627370496.5;
+    9007199254740992.0; 1e16; 1e21; 1e22; 1e-7; 123456789012.5;
+    Float.min_float; 4.9e-324; -4.9e-324; 2.2250738585072009e-308;
+    Float.max_float; -.Float.max_float; Float.epsilon; Float.nan;
+    -.Float.nan; Float.infinity; Float.neg_infinity;
+  ]
+
+let serializer_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map Int64.float_of_bits ui64);
+        (2, oneofl edge_floats);
+        (2, json_number);
+        (1, map (fun d -> 1e15 +. float_of_int d) (int_range (-1000) 1000));
+        (1, map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_bound 1_000_000));
+      ])
+
+(* Quotes, backslashes, every control byte, DEL and multi-byte UTF-8. *)
+let serializer_string =
+  QCheck.Gen.(
+    let piece =
+      frequency
+        [
+          (4, map (String.make 1) printable);
+          (2, map (String.make 1) (oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\127' ]));
+          (2, map (fun c -> String.make 1 (Char.chr c)) (int_bound 0x1f));
+          (1, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\xff" ]);
+          (1, map (String.make 1) char);
+        ]
+    in
+    map (String.concat "") (list_size (0 -- 16) piece))
+
+let serializer_value =
+  QCheck.Gen.(
+    sized_size (0 -- 30)
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return J.Null);
+                 (1, map (fun b -> J.Bool b) bool);
+                 (4, map (fun v -> J.Num v) serializer_float);
+                 (3, map (fun s -> J.Str s) serializer_string);
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> J.List l) (list_size (0 -- 5) (self (n / 3))));
+                 ( 1,
+                   map
+                     (fun l -> J.Obj l)
+                     (list_size (0 -- 5) (pair serializer_string (self (n / 3)))) );
+               ]))
+
+let test_json_writer_floats =
+  QCheck.Test.make ~count:5000 ~name:"json: number_string = oracle"
+    (QCheck.make ~print:(fun f -> Printf.sprintf "%h" f) serializer_float)
+    (fun f ->
+      J.number_string f = Json_oracle.number_string f
+      && J.to_string (J.Num f) = Json_oracle.to_string (J.Num f))
+
+let test_json_writer_strings =
+  QCheck.Test.make ~count:2000 ~name:"json: escape_string = oracle"
+    (QCheck.make ~print:(Printf.sprintf "%S") serializer_string)
+    (fun s -> J.escape_string s = Json_oracle.escape_string s)
+
+let test_json_writer_values =
+  QCheck.Test.make ~count:2000 ~name:"json: to_string = oracle on nested values"
+    (QCheck.make ~print:Json_oracle.to_string serializer_value)
+    (fun v -> J.to_string v = Json_oracle.to_string v)
+
+let test_json_writer_edges () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string)
+        (Printf.sprintf "to_string (Num %h)" f)
+        (Json_oracle.to_string (J.Num f))
+        (J.to_string (J.Num f)))
+    edge_floats;
+  Alcotest.(check string) "negative zero" "-0" (J.number_string (-0.0));
+  Alcotest.(check string) "nan is null" "null" (J.to_string (J.Num Float.nan));
+  Alcotest.(check string) "control byte" {|"\u0001"|} (J.escape_string "\001")
+
 (* --- Atomic_io -------------------------------------------------------- *)
 
 let test_atomic_io () =
@@ -1144,6 +1246,11 @@ let suite =
       QCheck_alcotest.to_alcotest test_json_oracle_serialized;
       QCheck_alcotest.to_alcotest test_json_oracle_mutated;
       QCheck_alcotest.to_alcotest test_json_oracle_bytes;
+      Alcotest.test_case "json: writer = oracle on edge values" `Quick
+        test_json_writer_edges;
+      QCheck_alcotest.to_alcotest test_json_writer_floats;
+      QCheck_alcotest.to_alcotest test_json_writer_strings;
+      QCheck_alcotest.to_alcotest test_json_writer_values;
       Alcotest.test_case "atomic file writes" `Quick test_atomic_io;
       Alcotest.test_case "ledger writer line discipline" `Quick
         test_ledger_writer_lines;

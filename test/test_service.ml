@@ -803,6 +803,101 @@ let test_traced_oversized_request () =
       (root.Span.parent = Some croot)
   | rs -> Alcotest.failf "expected one submit root, found %d" (List.length rs)
 
+(* --- wire pin ------------------------------------------------------------ *)
+
+(* Raw reply lines, as the daemon wrote them, up to and including the
+   [done] reply. *)
+let read_raw_until_done fd =
+  let buf = Bytes.create 4096 in
+  let rec loop pending acc =
+    match String.index_opt pending '\n' with
+    | Some i ->
+      let line = String.sub pending 0 i in
+      let rest = String.sub pending (i + 1) (String.length pending - i - 1) in
+      if String.starts_with ~prefix:{|{"reply":"done"|} line then
+        List.rev (line :: acc)
+      else loop rest (line :: acc)
+    | None -> (
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> Alcotest.fail "server closed the connection unexpectedly"
+      | n -> loop (pending ^ Bytes.sub_string buf 0 n) acc)
+  in
+  loop "" []
+
+(* Replace the value of every ["key":] in [line] with [#]: a number,
+   [null] or an escape-free string. Everything else keeps its bytes. *)
+let mask_fields keys line =
+  let out = Buffer.create (String.length line) in
+  let n = String.length line in
+  let rec value_end i =
+    if i >= n then i
+    else match line.[i] with ',' | '}' | ']' -> i | _ -> value_end (i + 1)
+  in
+  let rec go i =
+    if i >= n then ()
+    else
+      match
+        List.find_opt
+          (fun k ->
+            let pat = "\"" ^ k ^ "\":" in
+            i + String.length pat <= n && String.sub line i (String.length pat) = pat)
+          keys
+      with
+      | Some k ->
+        let v = i + String.length k + 3 in
+        Buffer.add_string out (String.sub line i (v - i));
+        Buffer.add_char out '#';
+        let stop =
+          if v < n && line.[v] = '"' then String.index_from line (v + 1) '"' + 1
+          else value_end v
+        in
+        go stop
+      | None ->
+        Buffer.add_char out line.[i];
+        go (i + 1)
+  in
+  go 0;
+  Buffer.contents out
+
+(* The bytes a warm resubmit puts on the wire and on the ledger, pinned
+   against goldens captured before the JSON writer was rewritten: every
+   reply and event line (kinds, field order, number images) with the
+   clock readings masked, and the appended ledger record with its
+   timestamps and revision masked. The grid covers integral and
+   non-integral IPC images, an unquoted tag and every reply kind of a
+   submit. *)
+let test_warm_wire_pinned () =
+  let dir = temp_dir () in
+  let mixes = [ "LLHH"; "MMMM" ] and schemes = [ "C4"; "1S"; "2SC3" ] in
+  let stream =
+    with_daemon ~jobs:1 dir (fun fd ->
+        send_line fd (submit_json ~mixes ~schemes ~seed:42L ~tag:"cold" ());
+        ignore (read_raw_until_done fd);
+        send_line fd (submit_json ~mixes ~schemes ~seed:42L ~tag:"warm \"w\"" ());
+        read_raw_until_done fd)
+  in
+  let masked =
+    List.map (mask_fields [ "ts"; "started_s"; "elapsed_s"; "wall_s" ]) stream
+  in
+  let ledger_line =
+    let path = Filename.concat dir "_runs/ledger.jsonl" in
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    match List.rev (List.filter (( <> ) "") (String.split_on_char '\n' text)) with
+    | last :: _ -> mask_fields [ "time_s"; "wall_s"; "git" ] last
+    | [] -> Alcotest.fail "no ledger record appended"
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let golden_wire = "dcb3a1f0033f5f8b0e67d9b5b388c7ad"
+  and golden_record = "466b9e9faed383ba1789423377b3ff2d" in
+  let wire = md5 (String.concat "\n" masked) and record = md5 ledger_line in
+  if wire <> golden_wire || record <> golden_record then begin
+    List.iter (Printf.eprintf "wire: %s\n") masked;
+    Printf.eprintf "ledger: %s\n%!" ledger_line
+  end;
+  Alcotest.(check int) "reply lines" 10 (List.length masked);
+  Alcotest.(check string) "warm reply stream digest" golden_wire wire;
+  Alcotest.(check string) "warm ledger record digest" golden_record record
+
 let suite =
   ( "service",
     [
@@ -832,4 +927,6 @@ let suite =
       QCheck_alcotest.to_alcotest test_tracing_observation_only;
       Alcotest.test_case "daemon: oversized traced request poisoned" `Quick
         test_traced_oversized_request;
+      Alcotest.test_case "daemon: warm wire bytes pinned" `Quick
+        test_warm_wire_pinned;
     ] )
