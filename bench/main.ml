@@ -6,7 +6,8 @@
 
    Part 2 runs Bechamel micro-benchmarks of the simulator's hot
    primitives (merge selection per scheme, routing, cache access,
-   compilation, simulation cycles), one Test per experiment family. *)
+   compilation, simulation cycles), one Test per experiment family,
+   and of the steps of a warm serve submit. *)
 
 module E = Vliw_experiments
 
@@ -265,6 +266,78 @@ let bench_primitives =
                   programs)));
     ]
 
+(* The server-side steps of a warm fig10 submit (144 cached cells), as
+   [Server] runs them: serialising the cell_finished events, the ledger
+   record, one cache lookup per cell, and the grid digest. *)
+let bench_warm_submit =
+  let module J = Vliw_util.Json in
+  let module Ledger = Vliw_telemetry.Ledger in
+  let module Cache = Vliw_service.Cache in
+  let mixes = Vliw_workloads.Mixes.names in
+  let schemes =
+    List.filter_map
+      (fun (e : Vliw_merge.Catalog.entry) ->
+        if e.name = "ST" then None else Some e.name)
+      Vliw_merge.Catalog.all
+  in
+  let slots =
+    Array.of_list
+      (List.concat_map (fun m -> List.map (fun s -> (m, s)) schemes) mixes)
+  in
+  let rng = Random.State.make [| 7 |] in
+  let ipcs = Array.map (fun _ -> 1.0 +. Random.State.float rng 4.0) slots in
+  let cells =
+    Array.mapi
+      (fun i (mix, scheme) ->
+        { Ledger.mix; scheme; ipc = ipcs.(i); elapsed_s = 0.0; started_s = 0.0;
+          worker = 0; attempts = 0; degraded = false })
+      slots
+  in
+  let cache = Cache.create () in
+  let row = Cache.row ~scale:"quick" ~seed:E.Common.default_seed in
+  Array.iteri
+    (fun i (mix, scheme) -> Cache.add cache ~key:(Cache.row_key row ~mix ~scheme) ~ipc:ipcs.(i))
+    slots;
+  let total = Array.length slots in
+  let record =
+    Ledger.make ~cells ~cmd:"serve" ~label:"warm" ~scale:"quick"
+      ~seed:E.Common.default_seed ~jobs:2 ~scheme_names:schemes ~mix_names:mixes
+      ~wall_s:0.003 ()
+  in
+  let digest = Ledger.grid_digest cells in
+  [
+    Test.make ~name:"events"
+      (Staged.stage (fun () ->
+           Array.iteri
+             (fun i (c : Ledger.cell) ->
+               let cell =
+                 { E.Sweep.mix = c.mix; scheme = c.scheme; ipc = c.ipc;
+                   elapsed_s = 0.0; started_s = 0.0; worker = 0;
+                   telemetry = None; attempts = 0; error = None }
+               in
+               match
+                 E.Sweep.json_of_event
+                   (E.Sweep.Cell_finished
+                      { cell; completed = i + 1; total; eta_s = Float.nan })
+               with
+               | J.Obj fields ->
+                 ignore
+                   (Vliw_util.Ndjson.line
+                      (J.Obj (("job", J.Str "j2") :: ("cached", J.Bool true) :: fields)))
+               | _ -> ())
+             cells));
+    Test.make ~name:"record"
+      (Staged.stage (fun () -> ignore (J.to_string (Ledger.to_json ~digest record))));
+    Test.make ~name:"keys"
+      (Staged.stage (fun () ->
+           let row = Cache.row ~scale:"quick" ~seed:E.Common.default_seed in
+           Array.iter
+             (fun (mix, scheme) ->
+               ignore (Cache.find cache ~key:(Cache.row_key row ~mix ~scheme)))
+             slots));
+    Test.make ~name:"digest" (Staged.stage (fun () -> ignore (Ledger.grid_digest cells)));
+  ]
+
 let ols =
   Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
 
@@ -318,7 +391,11 @@ let () =
   if not bench_only then regenerate_all ~jobs ();
   heading "Micro-benchmarks (Bechamel, monotonic clock)";
   let groups =
-    [ ("experiments", bench_experiments); ("primitives", bench_primitives) ]
+    [
+      ("experiments", bench_experiments);
+      ("primitives", bench_primitives);
+      ("warm-submit", bench_warm_submit);
+    ]
   in
   List.iter
     (fun (name, tests) ->

@@ -9,12 +9,21 @@
 
 module Ledger = Vliw_telemetry.Ledger
 
-let cell_key ~scale ~seed ~mix ~scheme =
-  let key =
-    String.concat "\x00"
-      [ "cell"; scale; Printf.sprintf "0x%Lx" seed; mix; scheme ]
-  in
-  Printf.sprintf "%016Lx" (Ledger.fnv1a64 Ledger.fnv_offset key)
+(* FNV-1a is a left fold, so the key's shared head "cell\0scale\0seed\0"
+   is hashed once per (scale, seed) and each cell folds in only
+   "mix\0scheme". *)
+type row = int64
+
+let row ~scale ~seed =
+  let h = Ledger.fnv1a64 Ledger.fnv_offset "cell\x00" in
+  let h = Ledger.fnv1a64 (Ledger.fnv1a64 h scale) "\x00" in
+  Ledger.fnv1a64 (Ledger.fnv1a64 h (Ledger.hex64 seed)) "\x00"
+
+let row_key row ~mix ~scheme =
+  let h = Ledger.fnv1a64 (Ledger.fnv1a64 row mix) "\x00" in
+  Ledger.hex16 (Ledger.fnv1a64 h scheme)
+
+let cell_key ~scale ~seed ~mix ~scheme = row_key (row ~scale ~seed) ~mix ~scheme
 
 type t = (string, float) Hashtbl.t
 
@@ -38,15 +47,13 @@ let cacheable_run (r : Ledger.run) =
 let preload t ~dir =
   List.iter
     (fun (r : Ledger.run) ->
-      if cacheable_run r then
+      if cacheable_run r then begin
+        let row = row ~scale:r.scale ~seed:r.seed in
         Array.iter
           (fun (c : Ledger.cell) ->
             if not c.degraded then
-              add t
-                ~key:
-                  (cell_key ~scale:r.scale ~seed:r.seed ~mix:c.mix
-                     ~scheme:c.scheme)
-                ~ipc:c.ipc)
-          r.cells)
+              add t ~key:(row_key row ~mix:c.mix ~scheme:c.scheme) ~ipc:c.ipc)
+          r.cells
+      end)
     (Ledger.load ~dir);
   size t

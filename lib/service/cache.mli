@@ -20,6 +20,17 @@ val cell_key :
   scale:string -> seed:int64 -> mix:string -> scheme:string -> string
 (** FNV-1a fingerprint of the cell's full input. *)
 
+type row
+(** The key's hash state after the (scale, seed) it shares with every
+    cell of one sweep. *)
+
+val row : scale:string -> seed:int64 -> row
+
+val row_key : row -> mix:string -> scheme:string -> string
+(** [row_key (row ~scale ~seed) ~mix ~scheme] is
+    [cell_key ~scale ~seed ~mix ~scheme], hashing only the cell's own
+    bytes. *)
+
 type t
 
 val create : unit -> t

@@ -462,11 +462,12 @@ let run cfg =
         ~seed:job.j_seed ~jobs:effective_jobs ~scheme_names:job.j_schemes
         ~mix_names:job.j_mixes ~wall_s ()
     in
+    let digest = Ledger.grid_digest cells in
     let run_id =
       if cfg.no_ledger then None
       else begin
         let t_app = Span.now tracer in
-        match Ledger.Writer.append ledger record with
+        match Ledger.Writer.append ~digest ledger record with
         | r ->
           job_span job ~parent:job.j_root ~kind:Span.Ledger_append
             ~name:job.j_id ~lane:"server" ~start_s:t_app
@@ -516,7 +517,7 @@ let run cfg =
           ]
          @ (match run_id with Some id -> [ ("run", J.Str id) ] | None -> [])
          @ [
-             ("digest", J.Str (Ledger.grid_digest cells));
+             ("digest", J.Str digest);
              ("cells", J.Num (float_of_int (Array.length cells)));
              ("cached", J.Num (float_of_int job.j_cached));
              ("simulated", J.Num (float_of_int job.j_simulated));
@@ -641,22 +642,20 @@ let run cfg =
               ("cells", Log.I (Array.length slots));
               ("traced", Log.B (j_trace <> None));
             ];
-          (* Cache pass at submit time: hits are answered immediately
-             and never occupy a scheduler slot. *)
-          let cold = ref [] in
-          Array.iteri
-            (fun i (mix, scheme) ->
-              match
-                Cache.find cache
-                  ~key:
-                    (Cache.cell_key
-                       ~scale:(E.Common.scale_name scale)
-                       ~seed:s.seed ~mix ~scheme)
-              with
-              | Some _ -> ()
-              | None -> cold := i :: !cold)
-            slots;
-          let cold = List.rev !cold in
+          (* Cache pass at submit time, one lookup per slot: hits are
+             answered immediately and never occupy a scheduler slot. *)
+          let row = Cache.row ~scale:(E.Common.scale_name scale) ~seed:s.seed in
+          let hits =
+            Array.map
+              (fun (mix, scheme) ->
+                Cache.find cache ~key:(Cache.row_key row ~mix ~scheme))
+              slots
+          in
+          let cold =
+            List.filter
+              (fun i -> Option.is_none hits.(i))
+              (List.init (Array.length hits) Fun.id)
+          in
           job.j_pending <- cold;
           send c
             (J.Obj
@@ -680,14 +679,8 @@ let run cfg =
                  seed = s.seed;
                });
           Array.iteri
-            (fun i (mix, scheme) ->
-              match
-                Cache.find cache
-                  ~key:
-                    (Cache.cell_key
-                       ~scale:(E.Common.scale_name scale)
-                       ~seed:s.seed ~mix ~scheme)
-              with
+            (fun i hit ->
+              match hit with
               | Some ipc ->
                 record_result job i
                   {
@@ -698,7 +691,7 @@ let run cfg =
                     r_error = None;
                   }
               | None -> ())
-            slots;
+            hits;
           if job.j_remaining = 0 then begin
             finalize job;
             None

@@ -67,20 +67,45 @@ let ledger_path ~dir = Filename.concat dir "ledger.jsonl"
 
 (* --- hashing ---------------------------------------------------------- *)
 
+let fnv_byte h c =
+  Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001B3L
+
 (* A [for] loop over a local ref rather than a [String.fold_left]
    closure: the ref's [Int64] stays unboxed, where the closure's
    accumulator is boxed once per byte. *)
 let fnv1a64 init s =
   let h = ref init in
   for i = 0 to String.length s - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code s.[i])))
-        0x100000001B3L
+    h := fnv_byte !h s.[i]
   done;
   !h
 
 let fnv_offset = 0xCBF29CE484222325L
+
+(* --- hex images --------------------------------------------------------- *)
+
+(* The images [Printf]'s %Lx conversions print, built without its
+   format interpreter: digit [k] counts nibbles from the least
+   significant end, and [hex_width v] is the digit count of %Lx. *)
+let hex_digit v k =
+  "0123456789abcdef".[Int64.to_int (Int64.shift_right_logical v (4 * k)) land 15]
+
+let hex_width v =
+  let rec go n =
+    if n < 16 && Int64.shift_right_logical v (4 * n) <> 0L then go (n + 1) else n
+  in
+  go 1
+
+(* [Printf.sprintf "%016Lx" v] *)
+let hex16 v = String.init 16 (fun i -> hex_digit v (15 - i))
+
+(* [Printf.sprintf "0x%Lx" v] *)
+let hex64 v =
+  let n = hex_width v in
+  String.init (n + 2) (fun i ->
+      if i = 0 then '0' else if i = 1 then 'x' else hex_digit v (n + 1 - i))
+
+(* --- fingerprints and digests ------------------------------------------ *)
 
 (* The policy joins the key only when non-static, so every fingerprint
    recorded before adaptive runs existed is preserved verbatim. *)
@@ -88,20 +113,25 @@ let fingerprint_of ?(policy = "static") ~scale ~seed ~scheme_names ~mix_names ()
     =
   let key =
     String.concat "\x00"
-      ((scale :: Printf.sprintf "0x%Lx" seed :: scheme_names)
+      ((scale :: hex64 seed :: scheme_names)
       @ ("|" :: mix_names)
       @ (if policy = "static" then [] else [ "policy:" ^ policy ]))
   in
-  Printf.sprintf "%016Lx" (fnv1a64 fnv_offset key)
+  hex16 (fnv1a64 fnv_offset key)
 
+(* FNV-1a over each cell's [mix ^ "/" ^ scheme] and the %Lx image of
+   its IPC bits, folded byte by byte without building either string. *)
 let grid_digest cells =
   let h = ref fnv_offset in
-  Array.iter
-    (fun c ->
-      h := fnv1a64 !h (c.mix ^ "/" ^ c.scheme);
-      h := fnv1a64 !h (Printf.sprintf "%Lx" (Int64.bits_of_float c.ipc)))
-    cells;
-  Printf.sprintf "%016Lx" !h
+  for i = 0 to Array.length cells - 1 do
+    let c = cells.(i) in
+    h := fnv1a64 (fnv_byte (fnv1a64 !h c.mix) '/') c.scheme;
+    let bits = Int64.bits_of_float c.ipc in
+    for k = hex_width bits - 1 downto 0 do
+      h := fnv_byte !h (hex_digit bits k)
+    done
+  done;
+  hex16 !h
 
 (* --- environment ------------------------------------------------------ *)
 
@@ -169,8 +199,6 @@ let mean_ipc run =
 
 module J = Vliw_util.Json
 
-let hex64 v = Printf.sprintf "0x%Lx" v
-
 let cell_to_json c =
   J.Obj
     ([
@@ -185,7 +213,10 @@ let cell_to_json c =
      ]
     @ if c.degraded then [ ("deg", J.Bool true) ] else [])
 
-let to_json r =
+let to_json ?digest r =
+  let digest =
+    match digest with Some d -> d | None -> grid_digest r.cells
+  in
   J.Obj
     ([
       ("schema", J.Num 1.0);
@@ -206,7 +237,7 @@ let to_json r =
     (if r.policy = "static" then [] else [ ("policy", J.Str r.policy) ])
     @ [
       ("wall_s", J.Num r.wall_s);
-      ("digest", J.Str (grid_digest r.cells));
+      ("digest", J.Str digest);
       ("cells", J.List (Array.to_list (Array.map cell_to_json r.cells)));
       ( "counters",
         J.Obj (List.map (fun (k, v) -> (k, J.Num (float_of_int v))) r.counters)
@@ -495,8 +526,10 @@ module Writer = struct
         let runs = numbered next runs in
         (List.map (fun r -> J.to_string (to_json r)) runs, runs))
 
-  let append t run =
-    match append_all t [ run ] with [ r ] -> r | _ -> assert false
+  let append ?digest t run =
+    write t (fun next ->
+        let r = { run with id = Printf.sprintf "r%d" next } in
+        ([ J.to_string (to_json ?digest r) ], r))
 
   let append_lines t lines = write t (fun _ -> (lines, ()))
 end

@@ -116,6 +116,13 @@ val grid_digest : cell array -> string
 (** FNV-1a over every cell's (mix, scheme) key and IPC bit image; equal
     digests mean bit-identical grids. *)
 
+val hex16 : int64 -> string
+(** [Printf.sprintf "%016Lx"], the image of fingerprints, digests and
+    cache keys, without the format interpreter. *)
+
+val hex64 : int64 -> string
+(** [Printf.sprintf "0x%Lx"], the image of seeds and IPC bits. *)
+
 val mean_ipc : run -> float
 (** Mean over non-nan cells; nan if there are none. *)
 
@@ -148,8 +155,10 @@ module Writer : sig
   (** A writer for [dir]'s ledger. The file (and [dir]) is opened, or
       created, by the first append. *)
 
-  val append : t -> run -> run
-  (** As {!Ledger.append}, through the open file. *)
+  val append : ?digest:string -> t -> run -> run
+  (** As {!Ledger.append}, through the open file. [digest] is the
+      record's {!grid_digest}, passed by a caller that already has it
+      so it is not computed twice. *)
 
   val append_lines : t -> string list -> unit
   (** Append raw lines (each without its newline) in one locked write,
@@ -213,7 +222,9 @@ val diff : run -> run -> drift
 (** Bit-compare two runs' grids. Attribution is deterministic: the named
     cell is the first differing one in mix-major grid order. *)
 
-val to_json : run -> Vliw_util.Json.t
+val to_json : ?digest:string -> run -> Vliw_util.Json.t
+(** [digest], when given, must be [grid_digest r.cells]; it is computed
+    when absent. *)
 
 val of_json : Vliw_util.Json.t -> run option
 (** [None] if required fields are missing; unknown fields are ignored

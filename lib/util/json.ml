@@ -6,8 +6,9 @@
 
    Numbers are [float]s. Values that must survive bit-exactly (64-bit
    seeds, IEEE-754 IPC images) are therefore stored by their producers
-   as hex strings, not numbers; the serializer's job is merely to emit
-   the shortest decimal that round-trips. *)
+   as hex strings, not numbers. The serializer prints a non-integral
+   number as %.12g when that round-trips and as %.17g otherwise, which
+   is not always the shortest decimal; those bytes are pinned. *)
 
 type t =
   | Null
@@ -19,61 +20,101 @@ type t =
 
 (* --- serialization --------------------------------------------------- *)
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+(* The writer appends straight into one [Buffer]: a string's runs of
+   plain bytes go in as substrings (a string with nothing to escape is
+   one scan and one blit), numbers skip [Printf]'s format interpreter,
+   and lists and objects are walked by top-level recursion. Its bytes
+   are pinned by differential tests against the reference serializer in
+   test/json_oracle.ml. *)
+
+let hex_digits = "0123456789abcdef"
+
+(* Append [s.[start, length s)], escaped, where [s.[start, i)] is
+   already known to need no escape. *)
+let rec add_escaped_from buf s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+      Buffer.add_substring buf s start (i - start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+        Buffer.add_char buf hex_digits.[Char.code c land 15]);
+      add_escaped_from buf s (i + 1) (i + 1)
+    | _ -> add_escaped_from buf s start (i + 1)
+
+let add_escaped buf s =
   Buffer.add_char buf '"';
+  add_escaped_from buf s 0 0;
+  Buffer.add_char buf '"'
+
+let escape_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_escaped buf s;
   Buffer.contents buf
 
-(* Shortest decimal image that parses back to the same bits; JSON has
-   no NaN/Infinity literals, so those serialize as null (the ledger
-   never stores them as numbers — degraded cells carry their IPC as hex
-   bits plus a flag). *)
+(* The C primitive behind [Printf]'s %g and [string_of_float]. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Integral values under 1e15 print as integers ("-0" keeps its sign);
+   any other value prints as %.12g when that parses back to the same
+   bits, else as %.17g, which always does. JSON has no NaN/Infinity
+   literals, so [write] turns those into null before calling this (the
+   ledger never stores them as numbers — degraded cells carry their IPC
+   as hex bits plus a flag). *)
 let number_string v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  if Float.is_integer v && Float.abs v < 1e15 then
+    if v = 0.0 && Float.sign_bit v then "-0" else string_of_int (int_of_float v)
   else begin
-    let short = Printf.sprintf "%.12g" v in
-    if float_of_string short = v then short else Printf.sprintf "%.17g" v
+    let short = format_float "%.12g" v in
+    if float_of_string short = v then short else format_float "%.17g" v
   end
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num v ->
-    if Float.is_nan v || Float.abs v = infinity then
-      Buffer.add_string buf "null"
-    else Buffer.add_string buf (number_string v)
-  | Str s -> Buffer.add_string buf (escape_string s)
-  | List items ->
+    if Float.is_finite v then Buffer.add_string buf (number_string v)
+    else Buffer.add_string buf "null"
+  | Str s -> add_escaped buf s
+  | List [] -> Buffer.add_string buf "[]"
+  | List (item :: items) ->
     Buffer.add_char buf '[';
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_char buf ',';
-        write buf item)
-      items;
+    write buf item;
+    write_items buf items;
     Buffer.add_char buf ']'
-  | Obj fields ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (field :: fields) ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (escape_string k);
-        Buffer.add_char buf ':';
-        write buf v)
-      fields;
+    write_field buf field;
+    write_fields buf fields;
     Buffer.add_char buf '}'
+
+and write_items buf = function
+  | [] -> ()
+  | item :: items ->
+    Buffer.add_char buf ',';
+    write buf item;
+    write_items buf items
+
+and write_field buf (k, v) =
+  add_escaped buf k;
+  Buffer.add_char buf ':';
+  write buf v
+
+and write_fields buf = function
+  | [] -> ()
+  | field :: fields ->
+    Buffer.add_char buf ',';
+    write_field buf field;
+    write_fields buf fields
 
 let to_string v =
   let buf = Buffer.create 256 in

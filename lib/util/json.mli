@@ -3,9 +3,9 @@
 
     Numbers are [float]s; producers that need 64-bit round-trips (run
     seeds, IEEE-754 IPC bit images) store them as hex {e strings}. The
-    serializer emits the shortest decimal that parses back to the same
-    bits; non-finite numbers serialize as [null] (JSON has no literals
-    for them). *)
+    serializer emits a decimal that parses back to the same bits (see
+    {!number_string}); non-finite numbers serialize as [null] (JSON has
+    no literals for them). *)
 
 type t =
   | Null
@@ -18,14 +18,21 @@ type t =
 val to_string : t -> string
 (** Compact (single-line) serialization. *)
 
+val write : Buffer.t -> t -> unit
+(** [write buf v] appends [to_string v] to [buf]. *)
+
 val escape_string : string -> string
 (** A JSON string literal, quotes included. *)
 
 val number_string : float -> string
-(** Shortest decimal that parses back to the same bits: integers print
-    bare ("3"), other finite values via %.12g or %.17g as needed.
-    Behaviour on non-finite input is the caller's concern (the
-    serializer maps those to [null] before calling this). *)
+(** A decimal that parses back to the same bits. Integral values below
+    1e15 in magnitude print bare ("3", and "-0" for negative zero);
+    every other finite value prints as %.12g if that round-trips, else
+    as %.17g. This is not always the shortest such decimal, and the
+    bytes are pinned: ledger lines and wire replies are compared and
+    digested as text. Behaviour on non-finite input is the caller's
+    concern (the serializer maps those to [null] before calling
+    this). *)
 
 val parse : string -> (t, string) result
 (** Parse one complete JSON document; trailing non-whitespace is an

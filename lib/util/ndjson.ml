@@ -76,4 +76,8 @@ let close r =
     Some (Error Truncated)
   end
 
-let line doc = Json.to_string doc ^ "\n"
+let line doc =
+  let buf = Buffer.create 256 in
+  Json.write buf doc;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf

@@ -545,6 +545,41 @@ let test_enforced_flag () =
       Vliw_sim.Invariants.set_enforced true;
       Alcotest.(check bool) "on" true (Vliw_sim.Invariants.enforced ()))
 
+(* A journal on disk that is mutated, cut short or replaced by random
+   bytes loads as [Ok] or [Error], and never raises. *)
+let checkpoint_robustness =
+  let path = temp_path () in
+  let load text =
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    E.Checkpoint.load ~path
+  in
+  let journal =
+    Q.Gen.(
+      let name = string_size ~gen:(oneofl [ 'a'; 'Z'; '%'; '='; ','; ' '; ':'; '\n' ]) (0 -- 6) in
+      let record =
+        map
+          (fun ((mix, scheme), (bits, counters)) ->
+            {
+              E.Checkpoint.mix;
+              scheme;
+              row_seed = bits;
+              ipc = Int64.float_of_bits bits;
+              attempts = 1;
+              counters;
+            })
+          (pair (pair name name)
+             (pair ui64 (option (list_size (0 -- 3) (pair name small_nat)))))
+      in
+      map
+        (fun records ->
+          E.Checkpoint.to_string
+            (List.fold_left E.Checkpoint.add (E.Checkpoint.create sample_meta)
+               records))
+        (list_size (0 -- 4) record))
+  in
+  Tgen.decoder_robustness ~truncation_fails:false ~name:"checkpoint: load"
+    ~decode:load journal
+
 let suite =
   ( "faults",
     [
@@ -561,6 +596,9 @@ let suite =
         test_checkpoint_roundtrip;
       Alcotest.test_case "checkpoint rejects garbage" `Quick
         test_checkpoint_rejects_garbage;
+    ]
+    @ List.map Tgen.to_alcotest checkpoint_robustness
+    @ [
       Alcotest.test_case "degraded cell" `Quick test_degraded_cell;
       Alcotest.test_case "fault injection acceptance" `Slow
         test_fault_injection_acceptance;

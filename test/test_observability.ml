@@ -677,6 +677,73 @@ let test_ledger_next_id_corruption =
       && List.length (List.filter (fun x -> x.L.id = r.L.id) (L.load ~dir))
          = 1)
 
+(* --- Ledger.load robustness ------------------------------------------------ *)
+
+(* One record's line, with a generated label and IPC bit image. *)
+let ledger_line_gen =
+  QCheck.Gen.(
+    map2
+      (fun label bits ->
+        let cells =
+          Array.map (fun c -> { c with L.ipc = Int64.float_of_bits bits }) grid_cells
+        in
+        J.to_string (L.to_json { (mk_run ~cells ~label ()) with L.id = "r7" }))
+      (string_size ~gen:json_byte (0 -- 8))
+      ui64)
+
+let load_ledger_text =
+  let dir = lazy (tmp_dir ()) in
+  fun text ->
+    let dir = Lazy.force dir in
+    A.write_file ~path:(L.ledger_path ~dir) text;
+    L.load ~dir
+
+(* A ledger holding one damaged record loads nothing from it: mutated
+   bytes may still parse, a cut-short or random line never does, and
+   none of them raises. *)
+let ledger_load_robustness =
+  Tgen.decoder_robustness ~name:"ledger: load"
+    ~decode:(fun text ->
+      match load_ledger_text text with [] -> Error () | runs -> Ok runs)
+    ledger_line_gen
+
+(* Damaged lines among intact ones are skipped: every intact record
+   loads back, in file order, byte-identical when serialized again. *)
+let test_ledger_load_skips_damage =
+  let entry =
+    QCheck.Gen.(
+      ledger_line_gen >>= fun line ->
+      frequency
+        [
+          (2, return (line, true));
+          ( 1,
+            map
+              (fun bad -> (bad, false))
+              (oneof
+                 [ Tgen.mutated (return line); Tgen.truncated (return line); Tgen.random_bytes ])
+          );
+        ])
+  in
+  QCheck.Test.make ~count:200 ~name:"ledger: load skips damaged lines"
+    (QCheck.make
+       ~print:(fun es -> String.concat "\n" (List.map fst es))
+       QCheck.Gen.(list_size (1 -- 6) entry))
+    (fun entries ->
+      let text = String.concat "\n" (List.map fst entries) in
+      match load_ledger_text text with
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      | runs ->
+        let loaded = List.map (fun r -> J.to_string (L.to_json r)) runs in
+        let rec subsequence wanted have =
+          match (wanted, have) with
+          | [], _ -> true
+          | _, [] -> false
+          | w :: ws, h :: hs -> if w = h then subsequence ws hs else subsequence wanted hs
+        in
+        subsequence
+          (List.filter_map (fun (line, intact) -> if intact then Some line else None) entries)
+          loaded)
+
 (* A crash mid-append leaves the start of a record with no newline. *)
 let test_ledger_torn_tail () =
   let dir = Filename.concat (tmp_dir ()) "runs" in
@@ -1259,6 +1326,10 @@ let suite =
       QCheck_alcotest.to_alcotest test_ledger_next_id_oracle;
       QCheck_alcotest.to_alcotest test_ledger_held_writer_oracle;
       QCheck_alcotest.to_alcotest test_ledger_next_id_corruption;
+      QCheck_alcotest.to_alcotest test_ledger_load_skips_damage;
+    ]
+    @ List.map QCheck_alcotest.to_alcotest ledger_load_robustness
+    @ [
       Alcotest.test_case "ledger torn tail" `Quick test_ledger_torn_tail;
       Alcotest.test_case "ledger concurrent appenders" `Quick
         test_ledger_concurrent_appenders;

@@ -153,6 +153,91 @@ let request_robustness =
     ~decode:Request.of_line
     (QCheck.Gen.map (fun r -> J.to_string (Request.to_json r)) request_gen)
 
+(* --- NDJSON robustness --------------------------------------------------- *)
+
+let show_result = function
+  | Ok d -> "ok " ^ J.to_string d
+  | Error (Ndjson.Oversized _) -> "oversized"
+  | Error (Ndjson.Malformed { msg }) -> "malformed " ^ msg
+  | Error Ndjson.Truncated -> "truncated"
+
+(* The reader's contract over a whole stream at once: a terminated line
+   longer than the budget is one [Oversized]; a blank one yields
+   nothing; any other is [Json.parse]'s verdict on it (a final carriage
+   return dropped). A non-empty unterminated tail is [Truncated] on
+   close. *)
+let ndjson_model ~limit stream =
+  let rec split = function
+    | [] -> ([], "")
+    | [ tail ] -> ([], tail)
+    | line :: rest ->
+      let lines, tail = split rest in
+      (line :: lines, tail)
+  in
+  let lines, tail = split (String.split_on_char '\n' stream) in
+  let verdict raw =
+    let n = String.length raw in
+    if n > limit then Some "oversized"
+    else
+      let line = if n > 0 && raw.[n - 1] = '\r' then String.sub raw 0 (n - 1) else raw in
+      if String.trim line = "" then None
+      else
+        Some
+          (match J.parse line with
+          | Ok d -> "ok " ^ J.to_string d
+          | Error msg -> show_result (Error (Ndjson.Malformed { msg })))
+  in
+  (List.filter_map verdict lines, if tail = "" then [] else [ "truncated" ])
+
+(* A stream of request lines (intact, mutated, truncated, random,
+   blank, CRLF-terminated or over the budget), an optional unterminated
+   tail, the budget, and the cut points the transport delivers it at. *)
+let ndjson_stream_gen =
+  QCheck.Gen.(
+    let request = map (fun r -> J.to_string (Request.to_json r)) request_gen in
+    let line =
+      frequency
+        [
+          (3, request);
+          (2, Tgen.mutated request);
+          (1, Tgen.truncated request);
+          (1, Tgen.random_bytes);
+          (1, oneofl [ ""; " "; "\r"; " \t\r" ]);
+          (1, map (fun l -> l ^ "\r") request);
+          (1, map (fun n -> String.make n 'x') (100 -- 400));
+        ]
+    in
+    let* lines = list_size (0 -- 8) line in
+    let* tail = oneof [ return ""; line ] in
+    let stream = String.concat "" (List.map (fun l -> l ^ "\n") lines) ^ tail in
+    let* limit = 1 -- 300 in
+    let* cuts = list_size (0 -- 6) (0 -- String.length stream) in
+    return (stream, limit, List.sort_uniq compare cuts))
+
+let test_ndjson_chunked_stream =
+  QCheck.Test.make ~count:500 ~name:"ndjson: any chunking = the line model"
+    (QCheck.make
+       ~print:(fun (s, limit, cuts) ->
+         Printf.sprintf "%S limit=%d cuts=[%s]" s limit
+           (String.concat ";" (List.map string_of_int cuts)))
+       ndjson_stream_gen)
+    (fun (stream, limit, cuts) ->
+      let r = Ndjson.reader ~max_line_bytes:limit () in
+      let rec go start cuts acc =
+        let stop = match cuts with c :: _ -> c | [] -> String.length stream in
+        (* each chunk is a window of the stream, fed through ~off/~len *)
+        let acc = acc @ Ndjson.feed r ~off:start ~len:(stop - start) stream in
+        match cuts with [] -> acc | _ :: rest -> go stop rest acc
+      in
+      match go 0 cuts [] with
+      | results ->
+        let closed = Option.to_list (Ndjson.close r) in
+        let expected, tail = ndjson_model ~limit stream in
+        List.map show_result results = expected
+        && List.map show_result closed = tail
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* --- scheduler --------------------------------------------------------- *)
 
 let job jid ~priority ~arrival cells =
@@ -907,6 +992,7 @@ let suite =
       Alcotest.test_case "ndjson: truncated stream" `Quick test_ndjson_truncated;
       Alcotest.test_case "request: defaults and rejects" `Quick test_request_defaults;
       QCheck_alcotest.to_alcotest test_request_roundtrip;
+      QCheck_alcotest.to_alcotest test_ndjson_chunked_stream;
     ]
     @ List.map QCheck_alcotest.to_alcotest request_robustness
     @ [

@@ -131,8 +131,10 @@ let random_bytes = Q.Gen.(string_size ~gen:char (0 -- 200))
 
 (* The three robustness properties of one line decoder over encodings
    drawn from [gen]: on a mutated line it answers [Ok] or [Error]; on a
-   truncated line or random bytes it answers [Error]; it never raises. *)
-let decoder_robustness ~name ~decode gen =
+   truncated line or random bytes it answers [Error]; it never raises.
+   With [~truncation_fails:false] a strict prefix may also decode (a
+   journal cut after its header is still a journal). *)
+let decoder_robustness ?(truncation_fails = true) ~name ~decode gen =
   let run ~label ~must_fail input =
     let test line =
       match decode line with
@@ -150,6 +152,8 @@ let decoder_robustness ~name ~decode gen =
   in
   [
     run ~label:"mutated bytes never raise" ~must_fail:false (mutated gen);
-    run ~label:"truncation is an error" ~must_fail:true (truncated gen);
+    (if truncation_fails then
+       run ~label:"truncation is an error" ~must_fail:true (truncated gen)
+     else run ~label:"truncation never raises" ~must_fail:false (truncated gen));
     run ~label:"random bytes are an error" ~must_fail:true random_bytes;
   ]
